@@ -79,6 +79,10 @@ struct Core {
     /// when the buffer is empty — the common case for a polling scope.
     drained: AtomicU64,
     late_drops: AtomicU64,
+    /// Bumped by the owning scope whenever its signal set changes, so
+    /// producers that cache "this name has a signal" (the network
+    /// hub's auto-register) know when to look again.
+    signals_epoch: AtomicU64,
 }
 
 /// Returns this thread's shard slot, assigned round-robin on first use.
@@ -151,19 +155,58 @@ impl ScopeBuffer {
     /// assert_eq!(buf.drain_until(TimeStamp::from_millis(10)).len(), 1);
     /// ```
     pub fn push(&self, tuple: Tuple) -> bool {
-        let deadline = tuple.time.saturating_add(self.delay());
-        if deadline < self.clock.now() {
-            self.core.late_drops.fetch_add(1, Ordering::Relaxed);
-            return false;
+        let mut accepted = [false];
+        self.push_batch(std::iter::once(tuple), &mut accepted);
+        accepted[0]
+    }
+
+    /// Enqueues a batch of samples under one shard lock, reading the
+    /// clock and the delay once for the whole batch.
+    ///
+    /// Each sample is dropped (and counted as a late drop) when its
+    /// display deadline `time + delay` has already passed, exactly as
+    /// [`ScopeBuffer::push`] does for one. Sets `accepted[i]` for every accepted sample `i`
+    /// (other entries are left as they are, so one mask can collect
+    /// acceptance across several buffers) and returns how many were
+    /// accepted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `accepted` is shorter than the batch.
+    pub fn push_batch<I>(&self, tuples: I, accepted: &mut [bool]) -> u64
+    where
+        I: IntoIterator<Item = Tuple>,
+    {
+        let delay = self.delay();
+        let now = self.clock.now();
+        let mut shard = self.core.shards[shard_index()].lock();
+        let start = shard.len();
+        let mut late = 0u64;
+        for (i, tuple) in tuples.into_iter().enumerate() {
+            if tuple.time.saturating_add(delay) < now {
+                late += 1;
+                continue;
+            }
+            accepted[i] = true;
+            shard.push(Entry {
+                time: tuple.time,
+                seq: 0,
+                value: tuple.value,
+                name: tuple.name,
+            });
         }
-        let seq = self.core.seq.fetch_add(1, Ordering::Relaxed);
-        self.core.shards[shard_index()].lock().push(Entry {
-            time: tuple.time,
-            seq,
-            value: tuple.value,
-            name: tuple.name,
-        });
-        true
+        // Sequence numbers are reserved once for the whole batch; the
+        // shard lock is still held, so no drain sees them unnumbered.
+        let pushed = shard.len() - start;
+        let first = self.core.seq.fetch_add(pushed as u64, Ordering::Relaxed);
+        for (k, e) in shard[start..].iter_mut().enumerate() {
+            e.seq = first + k as u64;
+        }
+        drop(shard);
+        if late > 0 {
+            self.core.late_drops.fetch_add(late, Ordering::Relaxed);
+        }
+        pushed as u64
     }
 
     /// Convenience: enqueue a named sample.
@@ -232,6 +275,21 @@ impl ScopeBuffer {
     /// Samples accepted over the buffer's lifetime.
     pub fn total_inserted(&self) -> u64 {
         self.core.seq.load(Ordering::Relaxed)
+    }
+
+    /// The owning scope's signal-set version: it changes whenever a
+    /// signal is added or removed. A producer that remembers which
+    /// names already have signals must forget them when this moves.
+    pub fn signals_epoch(&self) -> u64 {
+        // Acquire pairs with the AcqRel bump in `Scope::add_signal` and
+        // `remove_signal`. The epoch is only a hint to look again: the
+        // signal set itself is read under the scope's lock.
+        self.core.signals_epoch.load(Ordering::Acquire)
+    }
+
+    /// Marks the owning scope's signal set as changed.
+    pub(crate) fn bump_signals_epoch(&self) {
+        self.core.signals_epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Discards everything queued.
@@ -341,6 +399,68 @@ mod tests {
         buf.push_sample("s", TimeStamp::from_millis(2), 2.0);
         buf.drain_until_into(TimeStamp::from_millis(5), &mut out);
         assert_eq!(out.len(), 2, "appends without clearing");
+    }
+
+    #[test]
+    fn push_batch_matches_per_tuple_push_late_drops() {
+        // Same samples, same clock, same delay: one buffer fed tuple by
+        // tuple, the other in one batch, must accept and drop alike.
+        let samples: Vec<Tuple> = [40u64, 160, 100, 151, 149, 150, 300]
+            .iter()
+            .enumerate()
+            .map(|(i, &ms)| Tuple::new(TimeStamp::from_millis(ms), i as f64, "s"))
+            .collect();
+        let (one, clock_one) = buffer_at(50);
+        let (batch, clock_batch) = buffer_at(50);
+        clock_one.advance(TimeDelta::from_millis(200));
+        clock_batch.advance(TimeDelta::from_millis(200));
+        let expect: Vec<bool> = samples.iter().map(|t| one.push(t.clone())).collect();
+        let mut got = vec![false; samples.len()];
+        let accepted = batch.push_batch(samples.iter().cloned(), &mut got);
+        assert_eq!(got, expect);
+        assert_eq!(accepted, expect.iter().filter(|&&a| a).count() as u64);
+        assert_eq!(batch.late_drops(), one.late_drops());
+        assert_eq!(batch.late_drops(), 3, "40, 100 and 149 ms are past due");
+        assert_eq!(batch.total_inserted(), one.total_inserted());
+        assert_eq!(batch.len(), one.len());
+        let a = one.drain_until(TimeStamp::from_millis(1_000));
+        let b = batch.drain_until(TimeStamp::from_millis(1_000));
+        assert_eq!(a, b, "same samples drain in the same order");
+    }
+
+    #[test]
+    fn push_batch_keeps_batch_order_for_equal_times() {
+        let (buf, _clock) = buffer_at(1_000);
+        buf.push_sample("s", TimeStamp::from_millis(5), -1.0);
+        let batch = (0..5).map(|i| Tuple::new(TimeStamp::from_millis(5), i as f64, "s"));
+        let mut mask = [false; 5];
+        assert_eq!(buf.push_batch(batch, &mut mask), 5);
+        assert!(mask.iter().all(|&a| a));
+        buf.push_sample("s", TimeStamp::from_millis(5), 9.0);
+        let values: Vec<f64> = buf
+            .drain_until(TimeStamp::from_millis(5))
+            .iter()
+            .map(|t| t.value)
+            .collect();
+        assert_eq!(values, vec![-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 9.0]);
+    }
+
+    #[test]
+    fn push_batch_mask_accumulates_across_buffers() {
+        // A sample one buffer drops and another accepts stays marked.
+        let (strict, clock_a) = buffer_at(10);
+        let (lenient, clock_b) = buffer_at(1_000);
+        clock_a.advance(TimeDelta::from_millis(100));
+        clock_b.advance(TimeDelta::from_millis(100));
+        let batch = [
+            Tuple::new(TimeStamp::from_millis(50), 1.0, "s"),
+            Tuple::new(TimeStamp::from_millis(95), 2.0, "s"),
+        ];
+        let mut mask = [false; 2];
+        assert_eq!(lenient.push_batch(batch.iter().cloned(), &mut mask), 2);
+        assert_eq!(strict.push_batch(batch.iter().cloned(), &mut mask), 1);
+        assert_eq!(mask, [true, true]);
+        assert_eq!(strict.late_drops(), 1);
     }
 
     #[test]

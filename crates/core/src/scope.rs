@@ -317,6 +317,7 @@ impl Scope {
         self.palette_counter += 1;
         self.signals.push(sig);
         self.refresh_wiring();
+        self.buffer.bump_signals_epoch();
         Ok(())
     }
 
@@ -336,6 +337,7 @@ impl Scope {
             self.trigger = None;
         }
         self.refresh_wiring();
+        self.buffer.bump_signals_epoch();
         Ok(())
     }
 
@@ -1130,6 +1132,25 @@ mod tests {
             vec![Some(0.0), Some(1.0), Some(2.0), Some(3.0), Some(4.0)]
         );
         assert_eq!(scope.stats().ticks, 5);
+    }
+
+    #[test]
+    fn signal_set_changes_move_the_buffer_epoch() {
+        let (mut scope, _v) = scope_with_int(8);
+        let producer = scope.buffer().clone();
+        let e0 = producer.signals_epoch();
+        scope
+            .add_signal("w", SigSource::Buffer, SigConfig::default())
+            .unwrap();
+        let e1 = producer.signals_epoch();
+        assert_ne!(e1, e0, "add_signal moves the epoch a clone sees");
+        assert!(scope
+            .add_signal("w", SigSource::Buffer, SigConfig::default())
+            .is_err());
+        assert!(scope.remove_signal("nope").is_err());
+        assert_eq!(producer.signals_epoch(), e1, "failed changes do not");
+        scope.remove_signal("w").unwrap();
+        assert_ne!(producer.signals_epoch(), e1, "remove_signal moves it");
     }
 
     #[test]

@@ -205,7 +205,24 @@ impl Signal {
 
     /// Repeats the last column `n` times — how the scope "advances the
     /// scope refresh appropriately" after lost timeouts (§4.5).
+    ///
+    /// A signal showing a counting aggregation (sum, rate, events, any)
+    /// instead gets `n` empty intervals: repeating its last column would
+    /// count that interval's events again. Events that arrived during
+    /// the missed periods land in the next tick's column.
     pub fn advance_held(&mut self, n: u64) {
+        let counting = {
+            let acc = self.acc.lock();
+            (self.source.is_buffered() || acc.total_events() > 0)
+                && !acc.aggregation().holds_when_empty()
+        };
+        if counting {
+            for _ in 0..n {
+                let filtered = self.filter.feed(0.0);
+                self.history.push(Some(filtered));
+            }
+            return;
+        }
         let held = self.history.latest().unwrap_or(None);
         for _ in 0..n {
             self.history.push(held);
@@ -364,6 +381,37 @@ mod tests {
         s.advance_held(3);
         assert_eq!(s.history().len(), 4);
         assert_eq!(s.history().to_vec(), vec![Some(4.0); 4]);
+    }
+
+    #[test]
+    fn advance_held_never_recounts_events() {
+        let mut s = sig(
+            SigSource::Events,
+            SigConfig::default().with_aggregation(Aggregation::Sum),
+        );
+        let sink = s.event_sink();
+        sink.push(2.0);
+        s.tick(P, &[]);
+        // Two periods lost while three more events arrive: the missed
+        // columns are empty intervals, the events land in the next one.
+        sink.push(1.0);
+        sink.push(1.0);
+        sink.push(1.0);
+        s.advance_held(2);
+        s.tick(P, &[]);
+        assert_eq!(
+            s.history().to_vec(),
+            vec![Some(2.0), Some(0.0), Some(0.0), Some(3.0)]
+        );
+
+        let mut b = sig(
+            SigSource::Buffer,
+            SigConfig::default().with_aggregation(Aggregation::Events),
+        );
+        b.tick(P, &[5.0, 6.0]);
+        b.advance_held(1);
+        b.tick(P, &[7.0]);
+        assert_eq!(b.history().to_vec(), vec![Some(2.0), Some(0.0), Some(1.0)]);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!   across the whole poll).
 //! * **Threaded** — [`ScopeServer::spawn_shards`] starts one thread
 //!   per shard plus an acceptor; each shard blocks in its own `epoll`
-//!   wait. This is the thread-per-core mode the 10k-client benchmark
-//!   runs.
+//!   wait, and the acceptor in one on the listener. Hand-offs and
+//!   shutdown end those waits through each shard's wake `eventfd`, so
+//!   no thread sleeps on a timer. This is the thread-per-core mode the
+//!   10k-client benchmark runs.
 //!
 //! Clients may speak the §3.3 text protocol or negotiate the binary
 //! frame protocol ([`crate::wire`]); subscribers under backpressure
@@ -26,7 +28,7 @@
 //! unbounded queue.
 
 use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -37,7 +39,8 @@ use gstore::Store;
 use gtel::Registry;
 use parking_lot::Mutex;
 
-use crate::shard::{catch_up_scopes, cycle, HubShared, ServerTelemetry, Shard};
+use crate::poll::{Poller, Waker};
+use crate::shard::{catch_up_scopes, cycle, HubScope, HubShared, ServerTelemetry, Shard};
 pub use crate::shard::{ClientInfo, HubConfig};
 use crate::wire::StreamConn;
 use gscope::SharedScope;
@@ -68,7 +71,8 @@ pub struct ServerStats {
     /// Tuples replayed out of the store — by [`ScopeServer::catch_up`]
     /// or to backpressured subscribers catching up.
     pub catch_up_tuples: u64,
-    /// Tuples queued out to live subscribers.
+    /// Tuples queued out to live subscribers (a batch shed on arrival
+    /// counts here and in `tuples_shed`).
     pub tuples_out: u64,
     /// Bytes written to subscriber sockets.
     pub bytes_out: u64,
@@ -128,6 +132,8 @@ pub struct ScopeServer {
     shared: Arc<HubShared>,
     shards: Vec<Arc<Shard>>,
     running: Arc<AtomicBool>,
+    /// Ends the acceptor thread's wait at shutdown.
+    acceptor_waker: Option<Arc<Waker>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -162,6 +168,7 @@ impl ScopeServer {
             shared,
             shards,
             running: Arc::new(AtomicBool::new(false)),
+            acceptor_waker: None,
             threads: Vec::new(),
         })
     }
@@ -192,8 +199,11 @@ impl ScopeServer {
     }
 
     /// Attaches a scope: received tuples are pushed into its buffer.
+    /// The hub keeps a clone of the scope's buffer and pushes through
+    /// it, so ingest does not wait while the display holds the scope.
+    /// Locks the scope briefly to take that clone.
     pub fn add_scope(&mut self, scope: SharedScope) {
-        self.shared.scopes.write().push(scope);
+        self.shared.scopes.write().push(HubScope::new(scope));
     }
 
     /// Attaches a scope and immediately replays the last `window` of
@@ -204,7 +214,7 @@ impl ScopeServer {
     ///
     /// Returns the number of tuples replayed.
     pub fn add_scope_with_catch_up(&mut self, scope: SharedScope, window: TimeDelta) -> u64 {
-        self.shared.scopes.write().push(scope);
+        self.shared.scopes.write().push(HubScope::new(scope));
         catch_up_scopes(&self.shared, window)
     }
 
@@ -332,10 +342,11 @@ impl ScopeServer {
     }
 
     /// Starts thread-per-core mode: one thread per shard (each parked
-    /// in its own `epoll` wait) plus an acceptor thread. Idempotent.
-    /// Threads stop when the server drops. Inline [`ScopeServer::poll`]
-    /// remains safe to call concurrently (shards are mutex-protected)
-    /// but is pointless once threads run.
+    /// in its own `epoll` wait) plus an acceptor thread (parked in one
+    /// on the listener). Idempotent. Threads stop when the server
+    /// drops. Inline [`ScopeServer::poll`] remains safe to call
+    /// concurrently (shards are mutex-protected) but is pointless once
+    /// threads run.
     pub fn spawn_shards(&mut self) {
         if self.running.swap(true, Ordering::AcqRel) {
             return;
@@ -350,12 +361,15 @@ impl ScopeServer {
                     .spawn(move || {
                         let pacing = std::time::Duration::from_micros(shared.cfg.scan_pacing_us);
                         while running.load(Ordering::Acquire) {
-                            let worked = cycle(&shard, &shared, 1);
-                            if !worked {
-                                // Without a kernel poller the cycle
-                                // returns immediately; don't spin.
+                            // Blocks until a socket, the shard's waker
+                            // or a client timer has work for it.
+                            let worked = cycle(&shard, &shared, -1);
+                            let scanning = shard.scan_mode.load(Ordering::Relaxed);
+                            if !worked && (scanning || !shard.has_poller()) {
+                                // A scanning cycle returns at once;
+                                // don't spin.
                                 std::thread::sleep(std::time::Duration::from_micros(200));
-                            } else if shard.scan_mode.load(Ordering::Relaxed) && !pacing.is_zero() {
+                            } else if worked && scanning && !pacing.is_zero() {
                                 // Hint-scanned clients have no kernel
                                 // wakeup: pause so arrivals batch
                                 // instead of re-scanning immediately.
@@ -369,13 +383,26 @@ impl ScopeServer {
         let listener = Arc::clone(&self.listener);
         let shared = Arc::clone(&self.shared);
         let running = Arc::clone(&self.running);
+        let parked = acceptor_poller(&listener);
+        self.acceptor_waker = parked.as_ref().map(|(_, waker)| Arc::clone(waker));
         self.threads.push(
             std::thread::Builder::new()
                 .name("gnet-acceptor".to_owned())
                 .spawn(move || {
+                    let mut ready = Vec::new();
                     while running.load(Ordering::Acquire) {
-                        if !accept_into(&listener, &shared) {
-                            std::thread::sleep(std::time::Duration::from_micros(500));
+                        let accepted = accept_into(&listener, &shared);
+                        match &parked {
+                            // Level-triggered: a connection that lands
+                            // after the accept above ends the wait.
+                            Some((poller, _)) => {
+                                ready.clear();
+                                poller.wait(&mut ready, -1);
+                            }
+                            None if !accepted => {
+                                std::thread::sleep(std::time::Duration::from_micros(500));
+                            }
+                            None => {}
                         }
                     }
                 })
@@ -392,6 +419,12 @@ impl ScopeServer {
 impl Drop for ScopeServer {
     fn drop(&mut self) {
         self.running.store(false, Ordering::Release);
+        for shard in &self.shards {
+            shard.wake();
+        }
+        if let Some(waker) = &self.acceptor_waker {
+            waker.wake();
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -439,6 +472,47 @@ pub fn attach_server(server: &Arc<Mutex<ScopeServer>>, ml: &mut MainLoop) -> Sou
     acceptor
 }
 
+/// Sets up a socket the hub accepted: non-blocking, and
+/// `TCP_NODELAY`, as [`ScopeClient`](crate::ScopeClient) sets on every
+/// connection it opens. Without it each fan-out write to a subscriber
+/// waits for the previous segment's delayed ACK (Nagle), which spends
+/// the display delay before the data is even on the wire.
+///
+/// Each failure is counted in `net.server.sockopt_errors`. Returns
+/// false when the socket cannot be made non-blocking — the hub's loop
+/// would stall on it, so the caller drops it; a `TCP_NODELAY` failure
+/// only costs latency, so the socket is kept.
+fn prepare_accepted(stream: &TcpStream, shared: &HubShared) -> bool {
+    let nonblocking = stream.set_nonblocking(true).is_ok();
+    let nodelay = stream.set_nodelay(true).is_ok();
+    let failures = u64::from(!nonblocking) + u64::from(!nodelay);
+    if failures > 0 {
+        shared.tel.read().sockopt_errors.add(failures);
+    }
+    nonblocking
+}
+
+/// A poller for the acceptor thread: the listener's read readiness
+/// plus a waker for shutdown. `None` without epoll or an `eventfd`;
+/// the acceptor then polls the listener on a short sleep.
+fn acceptor_poller(listener: &TcpListener) -> Option<(Poller, Arc<Waker>)> {
+    let poller = Poller::new()?;
+    let waker = Arc::new(Waker::new()?);
+    let fd = listener_fd(listener)?;
+    (poller.add(fd, 0) && poller.add_waker(&waker, 1)).then_some((poller, waker))
+}
+
+#[cfg(unix)]
+fn listener_fd(listener: &TcpListener) -> Option<i32> {
+    use std::os::unix::io::AsRawFd;
+    Some(listener.as_raw_fd())
+}
+
+#[cfg(not(unix))]
+fn listener_fd(_listener: &TcpListener) -> Option<i32> {
+    None
+}
+
 /// Drains the listener into the hub, pinning each connection to a
 /// shard. Returns true when any connection was accepted (recorded as
 /// a `net.server.accept` span so accept cost shows up in traces).
@@ -448,7 +522,7 @@ fn accept_into(listener: &TcpListener, shared: &HubShared) -> bool {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_err() {
+                if !prepare_accepted(&stream, shared) {
                     continue;
                 }
                 shared.pin_connection(Box::new(stream));
@@ -502,4 +576,64 @@ where
             Continue::Keep
         }),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_get_nodelay_and_nonblocking() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        assert!(
+            !stream.nodelay().unwrap(),
+            "accepted sockets start with Nagle on"
+        );
+        let shared = HubShared::new(HubConfig::default());
+        *shared.tel.write() = ServerTelemetry::new(Arc::new(Registry::new()));
+        let errors = Arc::clone(&shared.tel.read().sockopt_errors);
+        assert!(prepare_accepted(&stream, &shared));
+        assert!(
+            stream.nodelay().unwrap(),
+            "hub sockets must not wait on Nagle"
+        );
+        let mut buf = [0u8; 1];
+        let read = std::io::Read::read(&mut &stream, &mut buf);
+        assert_eq!(
+            read.map_err(|e| e.kind()),
+            Err(ErrorKind::WouldBlock),
+            "hub sockets must not block the shard loop"
+        );
+        assert_eq!(errors.get(), 0, "no option failed");
+    }
+
+    #[test]
+    fn dropping_a_threaded_server_joins_its_blocked_threads() {
+        let mut server = ScopeServer::with_config(
+            "127.0.0.1:0",
+            HubConfig {
+                shards: 2,
+                ..HubConfig::default()
+            },
+        )
+        .unwrap();
+        server.spawn_shards();
+        // One connection, so one shard blocks with a client and one
+        // without; the acceptor blocks on the listener.
+        let _peer = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+        while server.client_count() == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(server);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("drop must wake and join every hub thread");
+        dropper.join().unwrap();
+    }
 }

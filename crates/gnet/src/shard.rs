@@ -9,18 +9,25 @@
 //!
 //! One cycle, in order:
 //!
-//! 1. adopt connections the acceptor parked in `pending`;
-//! 2. collect readiness (epoll when available, hint/scan otherwise);
+//! 1. collect readiness (epoll when available, hint/scan otherwise),
+//!    waiting without the shard lock; a shard whose clients are all
+//!    in epoll blocks until a socket, its wake `eventfd` (a hand-off
+//!    or shutdown) or a client timer (clock probe, store replay) ends
+//!    the wait;
+//! 2. adopt connections the acceptor parked in `pending`;
 //! 3. read + parse every ready client — text lines and binary frames
 //!    interleave freely (see [`crate::wire`]);
-//! 4. deliver the parsed batch: store tee first, then scope buffers,
-//!    then every shard's subscriber inbox (store-before-inbox is the
-//!    ordering catch-up correctness rests on);
+//! 4. deliver the parsed batch: store tee first, then scope buffers
+//!    (through the hub's clones of them — the `Scope` mutex is taken
+//!    only to register a new signal name), then every shard's
+//!    subscriber inbox (store-before-inbox is the ordering catch-up
+//!    correctness rests on);
 //! 5. drain this shard's inbox and fan out: the batch is encoded
 //!    **once** per wire protocol, then memcpy'd into each live
 //!    subscriber's bounded output queue;
 //! 6. pump catching-up clients from the store via the seek index;
-//! 7. flush each dirty output queue with a single `write` syscall;
+//! 7. flush each dirty output queue with a single `write` syscall,
+//!    watching write readiness while a short write leaves bytes queued;
 //! 8. reap dead clients.
 //!
 //! # Backpressure state machine
@@ -38,23 +45,26 @@
 //! strictly newer ones flow again. Tuples timestamped exactly at the
 //! boundary during the handover may be dropped — the §4.4 late-drop
 //! rule applied to rejoin. Without a store the shed is lossy and the
-//! client stays live (counted, so nothing is silent).
+//! client stays live; a batch that still does not fit after the shed
+//! is shed on arrival. Both are counted in `tuples_shed`, so nothing
+//! is silent.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use gel::{TimeDelta, TimeStamp};
 use gscope::{
-    intern, write_tuple_line, ScopeError, SharedScope, SigConfig, SigSource, Tuple, TupleSource,
+    intern, write_tuple_line, ScopeBuffer, ScopeError, SharedScope, SigConfig, SigSource, Tuple,
+    TupleSource, UNNAMED_SIGNAL,
 };
 use gstore::{Store, StoreReader};
 use gtel::{Counter, Gauge, Registry};
 use parking_lot::{Mutex, RwLock};
 
 use crate::clock::{wire_now_us, ClockEstimator, ClockStats};
-use crate::poll::Poller;
+use crate::poll::{Poller, Waker};
 use crate::wire::{
     decode_arg, decode_caps, decode_data, decode_origin, decode_pong, frame_arg, frame_ping,
     frame_pong, frame_welcome, split_message, BatchEncoder, Msg, Protocol, StreamConn, WireRec,
@@ -83,7 +93,7 @@ pub struct HubConfig {
     /// Readiness scans have no kernel wakeup, so back-to-back cycles
     /// would spin; a short pause batches arrivals instead. Shards
     /// whose clients are all epoll-registered ignore this and block
-    /// in the poller.
+    /// in the poller until an event or their wake `eventfd`.
     pub scan_pacing_us: u64,
     /// Gap between server-initiated clock probes per negotiated
     /// client (µs). The server pings so *it* holds the per-client
@@ -129,6 +139,13 @@ pub(crate) struct Rec {
     pub time_us: u64,
     pub value: f64,
     pub name: Option<Arc<str>>,
+}
+
+impl Rec {
+    /// The signal this tuple feeds: its name, or [`UNNAMED_SIGNAL`].
+    fn signal_name(&self) -> &str {
+        self.name.as_deref().unwrap_or(UNNAMED_SIGNAL)
+    }
 }
 
 /// Global hub counters, updated by every shard.
@@ -191,6 +208,9 @@ pub(crate) struct ServerTelemetry {
     pub catch_ups: Arc<Counter>,
     /// `net.server.tuples_shed` — tuples dropped by queue sheds.
     pub tuples_shed: Arc<Counter>,
+    /// `net.server.sockopt_errors` — accepted sockets whose options
+    /// (non-blocking, `TCP_NODELAY`) could not be set.
+    pub sockopt_errors: Arc<Counter>,
     /// `net.server.clock.exchanges` — completed PING/PONG round trips.
     pub clock_exchanges: Arc<Counter>,
     /// `net.server.clock.offset_us` — most recent per-client offset.
@@ -208,6 +228,7 @@ impl ServerTelemetry {
     pub(crate) fn new(registry: Arc<Registry>) -> Self {
         ServerTelemetry {
             tuples_shed: registry.counter("net.server.tuples_shed"),
+            sockopt_errors: registry.counter("net.server.sockopt_errors"),
             clock_exchanges: registry.counter("net.server.clock.exchanges"),
             clock_offset: registry.gauge("net.server.clock.offset_us"),
             clock_rtt: registry.gauge("net.server.clock.rtt_us"),
@@ -240,10 +261,124 @@ impl Default for ServerTelemetry {
     }
 }
 
+/// One attached scope as the hub's ingest path sees it.
+///
+/// Tuples go into `buffer`, a clone of the scope's own
+/// [`ScopeBuffer`] (clones share one queue), the way any producer
+/// thread pushes — so ingest never waits on the `Scope` mutex, which
+/// the display's tick and render hold for milliseconds at a time. The
+/// mutex is taken only to register a signal for a name the hub has
+/// not yet confirmed for this scope.
+pub(crate) struct HubScope {
+    scope: SharedScope,
+    buffer: ScopeBuffer,
+    /// Lock order: `known`, then the `Scope` mutex; nothing takes
+    /// them the other way round.
+    known: Mutex<KnownNames>,
+}
+
+/// Names confirmed to have a signal in one scope, valid while the
+/// scope's signal epoch ([`ScopeBuffer::signals_epoch`]) stays at
+/// `epoch`. Unnamed tuples are confirmed under [`UNNAMED_SIGNAL`].
+#[derive(Default)]
+struct KnownNames {
+    epoch: u64,
+    names: HashSet<Arc<str>>,
+}
+
+impl HubScope {
+    /// Signals the scope already has are confirmed up front, so their
+    /// tuples never need the scope lock.
+    pub(crate) fn new(scope: SharedScope) -> HubScope {
+        let (buffer, known) = {
+            let guard = scope.lock();
+            let known = KnownNames {
+                epoch: guard.buffer().signals_epoch(),
+                names: guard
+                    .signals()
+                    .iter()
+                    .map(|s| Arc::clone(s.interned_name()))
+                    .collect(),
+            };
+            (guard.buffer().clone(), known)
+        };
+        HubScope {
+            scope,
+            buffer,
+            known: Mutex::new(known),
+        }
+    }
+
+    /// Makes sure every name in `batch` has a signal in this scope
+    /// (auto-register), before any of the batch's tuples can drain.
+    /// Locks the scope only when the batch carries a name not
+    /// confirmed at the scope's current signal epoch; a signal removed
+    /// while its name keeps streaming moves the epoch, so it is
+    /// re-created with the next batch.
+    fn register_names(&self, batch: &[Rec]) {
+        let mut known = self.known.lock();
+        if known.epoch == self.buffer.signals_epoch()
+            && batch
+                .iter()
+                .all(|rec| known.names.contains(rec.signal_name()))
+        {
+            return;
+        }
+        let mut scope = self.scope.lock();
+        // The signal set cannot change while the scope is locked.
+        if known.epoch != scope.buffer().signals_epoch() {
+            known.names.clear();
+        }
+        for rec in batch {
+            let name = rec.signal_name();
+            if known.names.contains(name) {
+                continue;
+            }
+            if scope.signal(name).is_none() {
+                // Cannot fail: the name is absent and the default
+                // config is valid.
+                let _ = scope.add_signal(name, SigSource::Buffer, SigConfig::default());
+            }
+            let key = rec.name.clone().unwrap_or_else(|| intern(UNNAMED_SIGNAL));
+            known.names.insert(key);
+        }
+        known.epoch = scope.buffer().signals_epoch();
+    }
+}
+
+/// Pushes `batch` into every attached scope's buffer — one shard lock
+/// per scope per batch — registering unseen names first when
+/// `auto_register` is on. `accepted[i]` ends true for each tuple at
+/// least one scope accepted (the rest were late everywhere, or there
+/// is no scope). The one scope-ingest path for both live delivery and
+/// history catch-up.
+fn push_to_scopes(
+    scopes: &[HubScope],
+    batch: &[Rec],
+    auto_register: bool,
+    accepted: &mut Vec<bool>,
+) {
+    accepted.clear();
+    accepted.resize(batch.len(), false);
+    for hs in scopes {
+        if auto_register {
+            hs.register_names(batch);
+        }
+        hs.buffer.push_batch(
+            batch.iter().map(|rec| Tuple {
+                time: TimeStamp::from_micros(rec.time_us),
+                value: rec.value,
+                name: rec.name.clone(),
+            }),
+            accepted,
+        );
+    }
+}
+
 /// State shared by every shard of one hub.
 pub(crate) struct HubShared {
     pub cfg: HubConfig,
-    pub scopes: RwLock<Vec<SharedScope>>,
+    pub scopes: RwLock<Vec<HubScope>>,
     pub store: Mutex<Option<Store>>,
     /// Cached `store.is_some()` so the fan-out path never locks.
     pub store_present: AtomicBool,
@@ -288,7 +423,9 @@ impl HubShared {
         let shards = self.shards.get().expect("shards installed at build");
         let i = self.next_shard.fetch_add(1, Ordering::Relaxed) % shards.len();
         shards[i].pending.lock().push(conn);
-        shards[i].pending_hint.store(true, Ordering::Release);
+        if !shards[i].pending_hint.swap(true, Ordering::AcqRel) {
+            shards[i].wake();
+        }
     }
 
     /// Flushes the store tee if dirty; returns false on store error.
@@ -330,7 +467,8 @@ pub struct ClientInfo {
     pub parse_errors: u64,
     /// Broken frames / bad commands from this client.
     pub protocol_errors: u64,
-    /// Tuples queued out to this client.
+    /// Tuples queued out to this client (a batch shed on arrival
+    /// counts here and in `tuples_shed`).
     pub tuples_out: u64,
     /// Bytes written to this client's socket.
     pub bytes_out: u64,
@@ -513,6 +651,9 @@ struct ClientState {
     token: u64,
     /// Registered with the shard's kernel poller.
     polled: bool,
+    /// The poller also reports this client writable: a short write
+    /// left bytes queued.
+    want_write: bool,
     inbuf: Vec<u8>,
     out: OutQueue,
     /// Encoding we send to this client (HELLO upgrades it).
@@ -537,11 +678,19 @@ struct ClientState {
     dead: bool,
 }
 
-/// One shard: its clients, poller, and scratch buffers, all behind one
-/// mutex that only this shard's loop (or the inline facade) takes.
+/// One shard: its clients and scratch buffers, behind one mutex that
+/// only this shard's loop (or the inline facade) takes, and its poller
+/// and waker, which need no lock.
 pub(crate) struct Shard {
     pub id: usize,
     core: Mutex<ShardCore>,
+    /// Readiness for the shard's sockets; `None` where the platform
+    /// has no epoll (the shard then scans).
+    poller: Option<Poller>,
+    /// Registered in `poller` under [`WAKE_TOKEN`]: ends a blocking
+    /// wait when a connection or inbox batch is handed over, or at
+    /// shutdown. `None` without an `eventfd`; waits are then bounded.
+    waker: Option<Waker>,
     /// Batches fanned in from any shard's ingest.
     inbox: Mutex<Vec<Rec>>,
     inbox_hint: AtomicBool,
@@ -561,7 +710,6 @@ struct ShardCore {
     id: usize,
     clients: Vec<ClientState>,
     tokens: HashMap<u64, usize>,
-    poller: Option<Poller>,
     next_token: u64,
     read_buf: Vec<u8>,
     /// Tuples parsed from this shard's clients this cycle.
@@ -585,6 +733,10 @@ struct ShardCore {
     /// Rotating start index for the readiness scan, so the per-cycle
     /// read budget is spread fairly across the population.
     scan_start: usize,
+    /// Earliest local µs at which a client needs a cycle that no
+    /// readiness event announces (see `ClientState::timer_due_us`);
+    /// bounds the next wait.
+    next_timer_us: Option<u64>,
     /// Hub-side waypoints of the newest origin-stamped batch this
     /// cycle; `deliver_batch` completes it (route/push legs) and
     /// hands it to the e2e attribution collector.
@@ -597,18 +749,31 @@ struct ShardCore {
     duty_gauge: Option<Arc<Gauge>>,
 }
 
-/// Duty-cycle gauges refresh on this wall-clock cadence (µs).
+/// Duty-cycle gauges refresh on this wall-clock cadence (µs). A shard
+/// blocked in its poller publishes when it next wakes.
 const DUTY_WINDOW_US: u64 = 250_000;
+
+/// Poller token of the shard's waker; client tokens start at 1.
+const WAKE_TOKEN: u64 = 0;
+
+/// Pace (µs) of work no readiness event announces: pumping a store
+/// replay, and flushing a queue the poller cannot watch.
+const TIMER_PACE_US: u64 = 1_000;
 
 impl Shard {
     pub(crate) fn new(id: usize) -> Shard {
+        let poller = Poller::new();
+        let waker = poller
+            .as_ref()
+            .and_then(|p| Waker::new().filter(|w| p.add_waker(w, WAKE_TOKEN)));
         Shard {
             id,
+            poller,
+            waker,
             core: Mutex::new(ShardCore {
                 id,
                 clients: Vec::new(),
                 tokens: HashMap::new(),
-                poller: Poller::new(),
                 next_token: 1,
                 read_buf: vec![0u8; 64 << 10],
                 ingest: Vec::new(),
@@ -623,6 +788,7 @@ impl Shard {
                 accept_scratch: Vec::new(),
                 unpolled: 0,
                 scan_start: 0,
+                next_timer_us: None,
                 pending_mark: None,
                 busy: loadmeter::BusyMeter::new(),
                 busy_window_us: 0,
@@ -635,6 +801,42 @@ impl Shard {
             scan_mode: AtomicBool::new(false),
             duty_bits: AtomicU64::new(0),
         }
+    }
+
+    /// True when the shard waits on a kernel poller (it scans
+    /// otherwise).
+    pub(crate) fn has_poller(&self) -> bool {
+        self.poller.is_some()
+    }
+
+    /// Ends this shard's current or next blocking wait.
+    pub(crate) fn wake(&self) {
+        if let Some(w) = &self.waker {
+            w.wake();
+        }
+    }
+
+    /// How long the next cycle may block in the poller (ms, negative =
+    /// until an event), given the caller's bound `wait_ms`. Zero with
+    /// hint-scanned clients on the shard: the poller cannot see their
+    /// data (and an empty interest set would block for the full
+    /// timeout). Without a waker a hand-off cannot end the wait, so it
+    /// stays short. A client timer cuts it to when that is due.
+    fn wait_timeout(&self, core: &ShardCore, wait_ms: i32) -> i32 {
+        if wait_ms == 0 || core.unpolled > 0 {
+            return 0;
+        }
+        let mut timeout = if self.waker.is_some() { wait_ms } else { 1 };
+        if let Some(due_us) = core.next_timer_us {
+            let left_us = due_us.saturating_sub(wire_now_us());
+            let left_ms = i32::try_from(left_us.div_ceil(1_000)).unwrap_or(i32::MAX);
+            timeout = if timeout < 0 {
+                left_ms
+            } else {
+                timeout.min(left_ms)
+            };
+        }
+        timeout
     }
 
     /// Snapshot of per-client counters.
@@ -657,39 +859,56 @@ impl Shard {
 }
 
 /// Runs one cycle of `shard`'s loop. `wait_ms` bounds the kernel
-/// readiness wait (0 = non-blocking, for inline/gel use). Returns true
+/// readiness wait (0 = non-blocking, for inline/gel use; negative =
+/// until an event, the wake `eventfd` or a client timer). Returns true
 /// when any work happened.
 pub(crate) fn cycle(shard: &Shard, shared: &HubShared, wait_ms: i32) -> bool {
     let begin_ns = gtel::fast_now_ns();
+
+    // 1. Readiness: kernel poller for real sockets, hints for sims.
+    // The wait holds no lock, so stats readers and a concurrent
+    // inline poll never queue behind a blocked shard.
+    let (timeout, mut ready) = {
+        let mut core = shard.core.lock();
+        shard.scan_mode.store(core.unpolled > 0, Ordering::Relaxed);
+        let timeout = shard.wait_timeout(&core, wait_ms);
+        (timeout, std::mem::take(&mut core.ready_tokens))
+    };
+    ready.clear();
+    let mut wait_ns = 0u64;
+    // The cycle's span starts after the wait, so it measures work, not
+    // how long the shard sat idle.
+    let mut work_begin_ns = begin_ns;
+    if let Some(poller) = &shard.poller {
+        let wait_begin = gtel::fast_now_ns();
+        poller.wait(&mut ready, timeout);
+        work_begin_ns = gtel::fast_now_ns();
+        wait_ns = work_begin_ns.saturating_sub(wait_begin);
+    }
     let mut core = shard.core.lock();
     let core = &mut *core;
+    core.ready_tokens = ready;
+    core.to_read.clear();
     let mut worked = false;
 
-    // 1. Adopt connections parked by the acceptor.
+    // A wake is drained before the hints below are read: a hand-off
+    // made after this point either is seen by this cycle or leaves
+    // the waker readable for the next wait.
+    if core.ready_tokens.contains(&WAKE_TOKEN) {
+        if let Some(w) = &shard.waker {
+            w.drain();
+        }
+    }
+
+    // 2. Adopt connections parked by the acceptor.
     if shard.pending_hint.swap(false, Ordering::AcqRel) {
         let mut pending = std::mem::take(&mut *shard.pending.lock());
         for conn in pending.drain(..) {
-            core.add_client(conn, shared);
+            core.add_client(conn, shard.poller.as_ref(), shared);
             worked = true;
         }
     }
 
-    // 2. Readiness: kernel poller for real sockets, hints for sims.
-    // Blocking in epoll is only safe when every live client is
-    // kernel-polled: with hint-scanned connections on the shard, a
-    // wait would add up to `wait_ms` of latency per cycle to data the
-    // poller cannot see (and an empty interest set would block for
-    // the full timeout).
-    core.ready_tokens.clear();
-    core.to_read.clear();
-    shard.scan_mode.store(core.unpolled > 0, Ordering::Relaxed);
-    let mut wait_ns = 0u64;
-    if let Some(poller) = &core.poller {
-        let timeout = if core.unpolled > 0 { 0 } else { wait_ms };
-        let wait_begin = gtel::fast_now_ns();
-        poller.wait(&mut core.ready_tokens, timeout);
-        wait_ns = gtel::fast_now_ns().saturating_sub(wait_begin);
-    }
     for token in &core.ready_tokens {
         if let Some(&idx) = core.tokens.get(token) {
             core.to_read.push(idx);
@@ -768,25 +987,43 @@ pub(crate) fn cycle(shard: &Shard, shared: &HubShared, wait_ms: i32) -> bool {
         }
     }
 
-    // 7. Flush output queues: one gather per client.
+    // 7. Flush output queues: one gather per client. Bytes a short
+    // write leaves queued are retried when the poller reports the
+    // socket writable; the same pass finds the next client timer.
     let mut flushed = 0u64;
+    let mut next_timer_us: Option<u64> = None;
     for c in core.clients.iter_mut() {
-        if c.dead || c.out.len() == 0 {
+        if c.dead {
             continue;
         }
-        match c.out.write_to(c.conn.as_mut()) {
-            Ok(0) => {}
-            Ok(n) => {
-                c.info.bytes_out += n as u64;
-                flushed += n as u64;
-                worked = true;
-            }
-            Err(_) => {
-                c.dead = true;
-                worked = true;
+        if c.out.len() > 0 {
+            match c.out.write_to(c.conn.as_mut()) {
+                Ok(0) => {}
+                Ok(n) => {
+                    c.info.bytes_out += n as u64;
+                    flushed += n as u64;
+                    worked = true;
+                }
+                Err(_) => {
+                    c.dead = true;
+                    worked = true;
+                    continue;
+                }
             }
         }
+        let want_write = c.polled && c.out.len() > 0;
+        if want_write != c.want_write {
+            let watched = match (&shard.poller, c.conn.raw_fd()) {
+                (Some(poller), Some(fd)) => poller.watch_writes(fd, c.token, want_write),
+                _ => false,
+            };
+            c.want_write = want_write && watched;
+        }
+        if let Some(due) = c.timer_due_us(now_us, shared.cfg.ping_interval_us) {
+            next_timer_us = Some(next_timer_us.map_or(due, |t| t.min(due)));
+        }
     }
+    core.next_timer_us = next_timer_us;
     if flushed > 0 {
         shared
             .counters
@@ -796,12 +1033,12 @@ pub(crate) fn cycle(shard: &Shard, shared: &HubShared, wait_ms: i32) -> bool {
     }
 
     // 8. Reap the dead.
-    core.reap(shared);
+    core.reap(shard.poller.as_ref(), shared);
 
     if worked {
         // Same label the single-threaded server used, so traces stay
         // comparable; arg = shard id. Idle cycles are not recorded.
-        gtel::complete_span("net.server.poll", shard.id as u64, begin_ns);
+        gtel::complete_span("net.server.poll", shard.id as u64, work_begin_ns);
         let tel = shared.tel.read();
         tel.clients
             .set_count(shared.client_count.load(Ordering::Relaxed));
@@ -841,12 +1078,33 @@ pub(crate) fn cycle(shard: &Shard, shared: &HubShared, wait_ms: i32) -> bool {
     worked
 }
 
+impl ClientState {
+    /// When this client next needs a cycle that no readiness event
+    /// announces: a store replay to pump, queued output the poller is
+    /// not watching, or a clock probe. `None` when only its socket can
+    /// give it work.
+    fn timer_due_us(&self, now_us: u64, ping_interval_us: u64) -> Option<u64> {
+        if matches!(self.mode, Mode::CatchUp(_)) || (self.out.len() > 0 && !self.want_write) {
+            Some(now_us + TIMER_PACE_US)
+        } else if self.caps & FLAG_CLOCK_SYNC != 0 {
+            Some(self.last_ping_us + ping_interval_us)
+        } else {
+            None
+        }
+    }
+}
+
 impl ShardCore {
-    fn add_client(&mut self, conn: Box<dyn StreamConn>, shared: &HubShared) {
+    fn add_client(
+        &mut self,
+        conn: Box<dyn StreamConn>,
+        poller: Option<&Poller>,
+        shared: &HubShared,
+    ) {
         let token = self.next_token;
         self.next_token += 1;
         let mut polled = false;
-        if let (Some(poller), Some(fd)) = (&self.poller, conn.raw_fd()) {
+        if let (Some(poller), Some(fd)) = (poller, conn.raw_fd()) {
             polled = poller.add(fd, token);
         }
         let peer = conn.peer_label();
@@ -855,6 +1113,7 @@ impl ShardCore {
             conn,
             token,
             polled,
+            want_write: false,
             inbuf: Vec::new(),
             out: OutQueue::default(),
             proto: Protocol::Text,
@@ -881,7 +1140,7 @@ impl ShardCore {
         shared.tel.read().connections.inc();
     }
 
-    fn reap(&mut self, shared: &HubShared) {
+    fn reap(&mut self, poller: Option<&Poller>, shared: &HubShared) {
         let mut i = 0;
         while i < self.clients.len() {
             if !self.clients[i].dead {
@@ -890,7 +1149,7 @@ impl ShardCore {
             }
             let c = self.clients.swap_remove(i);
             if c.polled {
-                if let (Some(poller), Some(fd)) = (&self.poller, c.conn.raw_fd()) {
+                if let (Some(poller), Some(fd)) = (poller, c.conn.raw_fd()) {
                     poller.del(fd);
                 }
             } else {
@@ -1288,37 +1547,13 @@ fn deliver_batch(core: &mut ShardCore, shared: &HubShared) {
         tel.store_drops.add(drops);
         tel.store_errors.add(errors);
     }
-    // Scope buffers: one scope lock per scope per batch.
+    // Scope buffers: pushed through the hub's buffer clones, so the
+    // display holding the Scope mutex never stalls ingest.
     let scopes = shared.scopes.read();
-    let dropped: u64;
-    if scopes.is_empty() {
-        dropped = n;
-    } else {
-        let auto = shared.auto_register.load(Ordering::Relaxed);
-        core.accept_scratch.clear();
-        core.accept_scratch.resize(batch.len(), false);
-        for scope in scopes.iter() {
-            let mut guard = scope.lock();
-            for (i, rec) in batch.iter().enumerate() {
-                let tuple = Tuple {
-                    time: TimeStamp::from_micros(rec.time_us),
-                    value: rec.value,
-                    name: rec.name.clone(),
-                };
-                if auto {
-                    let name = tuple.name.as_deref().unwrap_or(gscope::UNNAMED_SIGNAL);
-                    if guard.signal(name).is_none() {
-                        let _ = guard.add_signal(name, SigSource::Buffer, SigConfig::default());
-                    }
-                }
-                if guard.buffer().push(tuple) {
-                    core.accept_scratch[i] = true;
-                }
-            }
-        }
-        dropped = core.accept_scratch.iter().filter(|&&a| !a).count() as u64;
-    }
+    let auto = shared.auto_register.load(Ordering::Relaxed);
+    push_to_scopes(&scopes, batch, auto, &mut core.accept_scratch);
     drop(scopes);
+    let dropped = core.accept_scratch.iter().filter(|&&a| !a).count() as u64;
     // Hand one completed hub-side chain per signal in the batch to
     // the attribution collector (watermark semantics downstream).
     if let Some(mut m) = mark {
@@ -1326,7 +1561,7 @@ fn deliver_batch(core: &mut ShardCore, shared: &HubShared) {
         let e2e = gtel::e2e();
         let mut seen: Vec<&str> = Vec::new();
         for rec in batch.iter() {
-            let name = rec.name.as_deref().unwrap_or(gscope::UNNAMED_SIGNAL);
+            let name = rec.signal_name();
             if seen.contains(&name) {
                 continue;
             }
@@ -1343,7 +1578,11 @@ fn deliver_batch(core: &mut ShardCore, shared: &HubShared) {
         let shards = shared.shards.get().expect("shards installed");
         for sh in shards.iter() {
             sh.inbox.lock().extend_from_slice(batch);
-            sh.inbox_hint.store(true, Ordering::Release);
+            // This shard drains its own inbox later in this cycle;
+            // another is woken only when its hint was clear.
+            if !sh.inbox_hint.swap(true, Ordering::AcqRel) && sh.id != core.id {
+                sh.wake();
+            }
         }
     }
     // Advance the live head.
@@ -1468,11 +1707,17 @@ fn fan_out(core: &mut ShardCore, shared: &HubShared) {
             overflow(c, batch_first, shared);
             // With a store the client is now catching up (this batch
             // comes from the store); without one, try the freshest
-            // batch after the shed and drop it if it still won't fit.
-            if matches!(c.mode, Mode::Live) && c.out.len() + bytes.len() <= shared.cfg.outbuf_cap {
-                c.out.push(bytes, batch_first, ntuples, false);
+            // batch after the shed. If it still won't fit it is shed
+            // on arrival: offered (`tuples_out`) and discarded
+            // (`tuples_shed`) at once, so the books still balance.
+            if matches!(c.mode, Mode::Live) {
                 c.info.tuples_out += ntuples;
                 queued_total += ntuples;
+                if c.out.len() + bytes.len() <= shared.cfg.outbuf_cap {
+                    c.out.push(bytes, batch_first, ntuples, false);
+                } else {
+                    count_shed_tuples(c, ntuples, shared);
+                }
             }
             continue;
         }
@@ -1495,17 +1740,9 @@ fn fan_out(core: &mut ShardCore, shared: &HubShared) {
 fn overflow(c: &mut ClientState, batch_first_us: u64, shared: &HubShared) {
     let (dropped_from, dropped_frames, dropped_tuples) = c.out.shed();
     c.info.shed_events += 1;
-    c.info.tuples_shed += dropped_tuples;
     shared.counters.shed_events.fetch_add(1, Ordering::Relaxed);
-    shared
-        .counters
-        .tuples_shed
-        .fetch_add(dropped_tuples, Ordering::Relaxed);
-    {
-        let tel = shared.tel.read();
-        tel.sheds.inc();
-        tel.tuples_shed.add(dropped_tuples);
-    }
+    shared.tel.read().sheds.inc();
+    count_shed_tuples(c, dropped_tuples, shared);
     gtel::instant("net.server.shed", dropped_frames as f64);
     if !shared.store_present.load(Ordering::Acquire) {
         return; // lossy mode: stay live, the shed made room
@@ -1524,6 +1761,14 @@ fn overflow(c: &mut ClientState, batch_first_us: u64, shared: &HubShared) {
         from_us,
         last_us: from_us,
     });
+}
+
+/// Counts `n` tuples discarded toward `c` in the client's and the
+/// hub's `tuples_shed`.
+fn count_shed_tuples(c: &mut ClientState, n: u64, shared: &HubShared) {
+    c.info.tuples_shed += n;
+    shared.counters.tuples_shed.fetch_add(n, Ordering::Relaxed);
+    shared.tel.read().tuples_shed.add(n);
 }
 
 /// Queues a catch-up marker in the client's own wire protocol: a
@@ -1711,6 +1956,9 @@ fn complete_catch_up(c: &mut ClientState, shared: &HubShared) {
 /// a year of history costs the same as one over a minute.
 const CATCH_UP_FRAME_BUDGET: u64 = 250_000;
 
+/// Tuples a scope catch-up pushes per batch.
+const CATCH_UP_CHUNK: usize = 4096;
+
 /// Replays history into the attached scopes (the facade's
 /// `catch_up(window)`); unrelated to per-client catch-up.
 ///
@@ -1753,6 +2001,8 @@ pub(crate) fn catch_up_scopes(shared: &HubShared, window: TimeDelta) -> u64 {
     let scopes = shared.scopes.read();
     let auto = shared.auto_register.load(Ordering::Relaxed);
     let mut replayed = 0u64;
+    let mut chunk: Vec<Rec> = Vec::with_capacity(CATCH_UP_CHUNK);
+    let mut accepted: Vec<bool> = Vec::new();
     for slice in slices {
         let mut reader = match StoreReader::open_tier(&dir, slice.tier).and_then(|mut r| {
             r.seek(gel::TimeStamp::from_micros(slice.from_us))?;
@@ -1767,27 +2017,30 @@ pub(crate) fn catch_up_scopes(shared: &HubShared, window: TimeDelta) -> u64 {
             }
         };
         loop {
-            match reader.next_tuple() {
+            let end = match reader.next_tuple() {
                 Ok(Some(tuple)) => {
-                    for scope in scopes.iter() {
-                        let mut guard = scope.lock();
-                        if auto {
-                            let name = tuple.name.as_deref().unwrap_or(gscope::UNNAMED_SIGNAL);
-                            if guard.signal(name).is_none() {
-                                let _ =
-                                    guard.add_signal(name, SigSource::Buffer, SigConfig::default());
-                            }
-                        }
-                        guard.buffer().push(tuple.clone());
+                    chunk.push(Rec {
+                        time_us: tuple.time.as_micros(),
+                        value: tuple.value,
+                        name: tuple.name,
+                    });
+                    if chunk.len() < CATCH_UP_CHUNK {
+                        continue;
                     }
-                    replayed += 1;
+                    false
                 }
-                Ok(None) => break,
+                Ok(None) => true,
                 Err(_) => {
                     shared.counters.store_errors.fetch_add(1, Ordering::Relaxed);
                     shared.tel.read().store_errors.inc();
-                    break;
+                    true
                 }
+            };
+            push_to_scopes(&scopes, &chunk, auto, &mut accepted);
+            replayed += chunk.len() as u64;
+            chunk.clear();
+            if end {
+                break;
             }
         }
     }
@@ -1797,4 +2050,132 @@ pub(crate) fn catch_up_scopes(shared: &HubShared, window: TimeDelta) -> u64 {
         .fetch_add(replayed, Ordering::Relaxed);
     shared.tel.read().catch_up.add(replayed);
     replayed
+}
+
+#[cfg(all(test, target_os = "linux", target_arch = "x86_64"))]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    /// A one-shard hub, as `ScopeServer::with_config` builds it.
+    fn one_shard_hub(outbuf_cap: usize) -> Arc<HubShared> {
+        let shared = Arc::new(HubShared::new(HubConfig {
+            shards: 1,
+            outbuf_cap,
+            ..HubConfig::default()
+        }));
+        *shared.tel.write() = ServerTelemetry::new(Arc::new(Registry::new()));
+        let _ = shared.shards.set(vec![Arc::new(Shard::new(0))]);
+        shared
+    }
+
+    fn shard(shared: &HubShared) -> Arc<Shard> {
+        Arc::clone(&shared.shards.get().unwrap()[0])
+    }
+
+    /// Polls `done` until it holds; panics with `what` after 30 s so a
+    /// missed wake fails the test instead of hanging it.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (hub_side, _) = listener.accept().unwrap();
+        hub_side.set_nonblocking(true).unwrap();
+        (hub_side, peer)
+    }
+
+    #[test]
+    fn blocked_shard_adopts_a_newly_pinned_connection() {
+        let shared = one_shard_hub(1 << 20);
+        let sh = shard(&shared);
+        let (done_tx, done_rx) = channel();
+        let blocked = {
+            let (shared, sh) = (Arc::clone(&shared), Arc::clone(&sh));
+            std::thread::spawn(move || {
+                // No clients and no timers: nothing but the waker can
+                // end this wait.
+                let worked = cycle(&sh, &shared, -1);
+                done_tx.send(worked).unwrap();
+            })
+        };
+        // Give the thread time to reach its wait; the outcome does not
+        // depend on it (a wake written first is kept for the wait).
+        std::thread::sleep(Duration::from_millis(50));
+        let (hub_side, _peer) = socket_pair();
+        shared.pin_connection(Box::new(hub_side));
+        let worked = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the pinned connection must end the shard's wait");
+        blocked.join().unwrap();
+        assert!(worked, "the woken cycle adopts the connection");
+        assert_eq!(shared.client_count.load(Ordering::Relaxed), 1);
+        assert_eq!(sh.client_stats().len(), 1);
+    }
+
+    #[test]
+    fn queued_output_is_flushed_when_the_subscriber_drains() {
+        // Nothing but write readiness can wake the shard once the
+        // producer is done: the subscriber reads only after the hub
+        // has queued more than the socket buffers hold.
+        const TUPLES: u64 = 600_000;
+        let shared = one_shard_hub(256 << 20);
+        let sh = shard(&shared);
+        let (hub_sub, sub) = socket_pair();
+        let (hub_prod, mut prod) = socket_pair();
+        shared.pin_connection(Box::new(hub_sub));
+        shared.pin_connection(Box::new(hub_prod));
+        let stop = Arc::new(AtomicBool::new(false));
+        let shard_loop = {
+            let (shared, sh, stop) = (Arc::clone(&shared), Arc::clone(&sh), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    cycle(&sh, &shared, -1);
+                }
+            })
+        };
+        (&sub).write_all(b"!sub\n").unwrap();
+        wait_until("subscription", || {
+            shared.subscriber_count.load(Ordering::Acquire) > 0
+        });
+        let mut text = Vec::new();
+        for i in 0..TUPLES {
+            write_tuple_line(&mut text, TimeStamp::from_micros(i), i as f64, Some("w"));
+            text.push(b'\n');
+        }
+        prod.write_all(&text).unwrap();
+        wait_until("ingest", || {
+            shared.counters.tuples_received.load(Ordering::Acquire) == TUPLES
+        });
+        let queued = sh
+            .client_stats()
+            .iter()
+            .map(|c| c.queue_bytes)
+            .sum::<usize>();
+        sub.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut lines = 0u64;
+        let mut reader = BufReader::new(&sub);
+        let mut line = String::new();
+        while lines < TUPLES {
+            line.clear();
+            reader
+                .read_line(&mut line)
+                .expect("queued output must reach a draining subscriber");
+            lines += 1;
+        }
+        stop.store(true, Ordering::Release);
+        sh.wake();
+        shard_loop.join().unwrap();
+        assert!(queued > 0, "the test must leave output queued");
+        assert_eq!(shared.counters.tuples_shed.load(Ordering::Relaxed), 0);
+    }
 }

@@ -4,11 +4,14 @@
 //! The whole test binary runs under a counting wrapper around the
 //! system allocator; after warming the connection to steady-state
 //! buffer capacities, a burst of sends must not allocate at all.
+//!
+//! Allocations are counted per thread, so a sibling test allocating on
+//! its own thread while the burst runs cannot show up in the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Read;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use gel::TimeStamp;
 use gnet::ScopeClient;
@@ -16,18 +19,27 @@ use gscope::Tuple;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialized with no
+    /// destructor, so touching it never allocates itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still free memory.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -35,8 +47,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A loopback server end the client can connect to; the test drains it

@@ -558,13 +558,32 @@ pub fn build_index(seg_path: &Path, limit: Option<u64>) -> std::io::Result<SegIn
 ///
 /// Propagates I/O errors from the rebuild path.
 pub fn load_or_rebuild_index(seg_path: &Path) -> std::io::Result<(SegIndex, bool)> {
+    load_or_build_index(seg_path, false)
+}
+
+/// [`load_or_rebuild_index`] for a segment that `may_be_open`: the
+/// newest tier-0 or tier-1 segment of a store, which a writer may
+/// still be appending to. Its rebuild stays in memory, because a
+/// persisted sidecar that matches the file is what tells the
+/// compactor a segment is sealed; an open segment taken for sealed is
+/// folded early, and frames appended to it later never reach tier 1.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the rebuild path.
+pub(crate) fn load_or_build_index(
+    seg_path: &Path,
+    may_be_open: bool,
+) -> std::io::Result<(SegIndex, bool)> {
     match probe_index(seg_path)? {
         IndexProbe::Valid(idx) => Ok((idx, false)),
         IndexProbe::Missing | IndexProbe::Stale | IndexProbe::Corrupt => {
             let idx = build_index(seg_path, None)?;
-            // Persistence is an optimization; a read-only store dir
-            // still answers queries from the in-memory rebuild.
-            let _ = write_index(&index_path(seg_path), &idx);
+            if !may_be_open {
+                // Persistence is an optimization; a read-only store
+                // dir still answers queries from the in-memory rebuild.
+                let _ = write_index(&index_path(seg_path), &idx);
+            }
             Ok((idx, true))
         }
     }

@@ -46,7 +46,7 @@ use gel::TimeStamp;
 use gscope::{decimate_minmax, Cols, Envelope, Result, Scope, ScopeError};
 use gtel::{Counter, Gauge, Registry};
 
-use crate::index::{index_path, load_or_rebuild_index, probe_index, IndexProbe, TermClass};
+use crate::index::{index_path, load_or_build_index, probe_index, IndexProbe, TermClass};
 use crate::segment::{
     decode_filtered, decode_records, parse_segment_file_name, read_block_header_at,
     read_block_payload, read_seg_header, recover_segment, scan_headers, segment_file_name,
@@ -82,6 +82,8 @@ pub struct CompactorConfig {
     /// query's pruning unit, so this bounds wasted decode per slice.
     pub block_frames: u64,
     /// Poll period of the background thread ([`Compactor::start`]).
+    /// After a failed pass the thread waits twice as long as after
+    /// the one before, up to 30 s.
     pub interval: Duration,
 }
 
@@ -140,6 +142,9 @@ pub struct LodTelemetry {
     pub evicted: Arc<Counter>,
     /// `store.lod.top_tier` — highest tier present.
     pub top_tier: Arc<Gauge>,
+    /// `store.lod.errors` — failed passes, plus sidecars of written or
+    /// evicted segments that could not be renamed or deleted.
+    pub errors: Arc<Counter>,
 }
 
 impl LodTelemetry {
@@ -151,6 +156,7 @@ impl LodTelemetry {
             frames_out: registry.counter("store.lod.frames_out"),
             evicted: registry.counter("store.lod.evicted"),
             top_tier: registry.gauge("store.lod.top_tier"),
+            errors: registry.counter("store.lod.errors"),
         }
     }
 }
@@ -161,6 +167,10 @@ struct TierSeg {
     seq: u64,
     path: PathBuf,
     bytes: u64,
+    /// The newest tier-0 or tier-1 segment: a writer may still be
+    /// appending to it, so a sidecar built from it is a snapshot, not
+    /// a seal.
+    growable: bool,
 }
 
 /// Process-wide size cache for sealed segment files. A segment's
@@ -200,9 +210,12 @@ fn tier_map(dir: &Path, fresh_stat: bool) -> std::io::Result<BTreeMap<u16, Vec<T
                 None => entry.metadata().map(|m| m.len()).unwrap_or(0),
             }
         };
-        map.entry(tier)
-            .or_default()
-            .push(TierSeg { seq, path, bytes });
+        map.entry(tier).or_default().push(TierSeg {
+            seq,
+            path,
+            bytes,
+            growable: false,
+        });
     }
     for (&tier, segs) in map.iter_mut() {
         segs.sort_by_key(|s| s.seq);
@@ -216,6 +229,7 @@ fn tier_map(dir: &Path, fresh_stat: bool) -> std::io::Result<BTreeMap<u16, Vec<T
         }
         for (i, seg) in segs.iter_mut().enumerate() {
             if Some(i) == growable {
+                seg.growable = true;
                 seg.bytes = std::fs::metadata(&seg.path).map(|m| m.len()).unwrap_or(0);
             } else if fresh_stat {
                 // A fresh stat is authoritative — it also repairs any
@@ -392,7 +406,16 @@ impl Compactor {
         self.pass_with_threshold(self.cfg.group)
     }
 
+    /// Runs one sweep and counts a failed one in `store.lod.errors`.
     fn pass_with_threshold(&mut self, threshold: u64) -> std::io::Result<CompactReport> {
+        let result = self.sweep(threshold);
+        if result.is_err() {
+            self.tel.errors.inc();
+        }
+        result
+    }
+
+    fn sweep(&mut self, threshold: u64) -> std::io::Result<CompactReport> {
         let mut report = CompactReport {
             recovered: self.recover()?,
             ..CompactReport::default()
@@ -544,11 +567,13 @@ impl Compactor {
         report.frames_out += events.len() as u64 * 2;
         w.seal()?;
         // Publish atomically: data first, then its sidecar. A crash
-        // between the two renames leaves a segment whose index is
-        // rebuilt on first use.
+        // between the two renames, or a failed sidecar rename (counted),
+        // leaves a segment whose index the next pass's recover rebuilds.
         let final_seg = self.dir.join(segment_file_name(out_seq, k + 1));
         std::fs::rename(&tmp, &final_seg)?;
-        let _ = std::fs::rename(index_path(&tmp), index_path(&final_seg));
+        if std::fs::rename(index_path(&tmp), index_path(&final_seg)).is_err() {
+            self.tel.errors.inc();
+        }
         report.folds += 1;
         self.tel.folds.inc();
         self.tel.frames_in.add(report.frames_in);
@@ -571,7 +596,10 @@ impl Compactor {
                     break;
                 }
                 std::fs::remove_file(&seg.path)?;
-                let _ = std::fs::remove_file(index_path(&seg.path));
+                match std::fs::remove_file(index_path(&seg.path)) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => self.tel.errors.inc(),
+                    _ => {}
+                }
                 total = total.saturating_sub(seg.bytes);
                 evicted += 1;
             }
@@ -583,7 +611,9 @@ impl Compactor {
     }
 
     /// Spawns the background compaction thread: a [`Compactor::pass`]
-    /// every `cfg.interval` until [`CompactorHandle::stop`].
+    /// every `cfg.interval` until [`CompactorHandle::stop`]. A failed
+    /// pass is counted in `store.lod.errors` and backs the thread off
+    /// so a broken directory is not hammered.
     #[must_use]
     pub fn start(self) -> CompactorHandle {
         let stop = Arc::new(AtomicBool::new(false));
@@ -592,10 +622,14 @@ impl Compactor {
             .name("glod-compactor".into())
             .spawn(move || {
                 let mut c = self;
+                let mut failures = 0u32;
                 while !flag.load(Ordering::Acquire) {
-                    let _ = c.pass();
+                    failures = match c.pass() {
+                        Ok(_) => 0,
+                        Err(_) => failures.saturating_add(1),
+                    };
                     // Sleep in small slices so stop() is prompt.
-                    let mut left = c.cfg.interval;
+                    let mut left = retry_wait(c.cfg.interval, failures);
                     while !flag.load(Ordering::Acquire) && !left.is_zero() {
                         let step = left.min(Duration::from_millis(20));
                         std::thread::sleep(step);
@@ -607,6 +641,21 @@ impl Compactor {
             .expect("spawn glod-compactor");
         CompactorHandle { stop, join }
     }
+}
+
+/// Longest wait between background passes while they keep failing
+/// (unless `interval` itself is longer).
+const MAX_RETRY_WAIT: Duration = Duration::from_secs(30);
+
+/// The background thread's wait before its next pass, after
+/// `failures` consecutive failed passes: `interval`, doubled per
+/// failure, capped at [`MAX_RETRY_WAIT`] or `interval`, whichever is
+/// longer.
+fn retry_wait(interval: Duration, failures: u32) -> Duration {
+    let factor = 1u32 << failures.min(31);
+    interval
+        .saturating_mul(factor)
+        .min(MAX_RETRY_WAIT.max(interval))
 }
 
 /// A running background compactor; dropping it without
@@ -756,10 +805,7 @@ fn cached_index(
             return Ok((Arc::clone(&c.idx), c.first_us, c.last_us, c.blocks));
         }
     }
-    let (idx, rebuilt) = match probe_index(&seg.path)? {
-        IndexProbe::Valid(idx) => (idx, false),
-        _ => load_or_rebuild_index(&seg.path)?,
-    };
+    let (idx, rebuilt) = load_or_build_index(&seg.path, seg.growable)?;
     if rebuilt {
         stats.indexes_rebuilt += 1;
     }
@@ -1397,6 +1443,114 @@ mod tests {
             .map(|&(_, hi)| hi)
             .fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(hi, 123.0);
+    }
+
+    #[test]
+    fn query_on_the_open_segment_does_not_seal_it_early() {
+        // A zoom query over the store's open tier-0 segment must not
+        // leave a sidecar that makes the compactor treat the segment as
+        // sealed: it would fold it early, and frames appended to it
+        // afterwards would never reach tier 1.
+        let dir = tmp_dir("open-segment");
+        let cfg = StoreConfig {
+            block_bytes: 256,
+            block_frames: 16,
+            ..StoreConfig::default()
+        };
+        let mut store = Store::open(&dir, cfg).unwrap();
+        let append = |store: &mut Store, frames: std::ops::Range<u64>| {
+            for i in frames {
+                store
+                    .append(TimeStamp::from_micros(i * 1_000), i as f64, Some("ramp"))
+                    .unwrap();
+            }
+            store.flush().unwrap();
+        };
+        append(&mut store, 0..400);
+        let r = query(
+            &dir,
+            Some("ramp"),
+            TimeStamp::ZERO,
+            TimeStamp::from_micros(400_000),
+            64,
+        )
+        .unwrap();
+        assert!(
+            r.columns.iter().flatten().count() > 0,
+            "the query sees tier 0"
+        );
+        let mut c = Compactor::new(&dir, lod_cfg()).unwrap();
+        c.pass().unwrap();
+        append(&mut store, 400..800);
+        store.roll_segment().unwrap();
+        c.drain().unwrap();
+        // Values rise with the frame number, so tier 1's (min, max)
+        // pairs, sorted, must tile 0..800 with no hole.
+        let mut r1 = StoreReader::open_tier(&dir, 1).unwrap();
+        let mut values = Vec::new();
+        while let Some(t) = r1.next_tuple().unwrap() {
+            values.push(t.value);
+        }
+        values.sort_by(f64::total_cmp);
+        let mut next = 0.0;
+        for pair in values.chunks(2) {
+            assert_eq!(pair[0], next, "tier 1 misses frames from {next}");
+            next = pair[pair.len() - 1] + 1.0;
+        }
+        assert_eq!(next, 800.0, "tier 1 covers every frame");
+        store.close().unwrap();
+    }
+
+    #[test]
+    fn failing_passes_are_counted_and_back_off() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = tmp_dir("unwritable");
+        let set_mode = |mode| {
+            std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(mode)).unwrap();
+        };
+        fill(&dir, 2_000);
+        // Root ignores mode bits, so a directory where the scratch
+        // sweep expects a file makes every pass fail for any user.
+        std::fs::create_dir(dir.join(format!("{TMP_PREFIX}blocker"))).unwrap();
+        set_mode(0o555);
+        let registry = Arc::new(Registry::new());
+        let errors = registry.counter("store.lod.errors");
+        let mut c = Compactor::new(&dir, lod_cfg()).unwrap();
+        c.set_telemetry(&registry);
+        assert!(c.pass().is_err(), "the directory is unusable");
+        assert_eq!(errors.get(), 1, "a failed pass is counted");
+
+        // In the background, each failure doubles the wait (1, 2, 4,
+        // ... ms here): about 9 passes fit in 300 ms, where a fixed
+        // 1 ms interval would run hundreds.
+        let cfg = CompactorConfig {
+            interval: Duration::from_millis(1),
+            ..lod_cfg()
+        };
+        let mut c = Compactor::new(&dir, cfg).unwrap();
+        c.set_telemetry(&registry);
+        let handle = c.start();
+        std::thread::sleep(Duration::from_millis(300));
+        drop(handle.stop());
+        let passes = errors.get() - 1;
+        assert!(
+            passes <= 12,
+            "failing passes must back off: {passes} in 300 ms"
+        );
+        set_mode(0o755);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retry_wait_doubles_up_to_the_cap() {
+        let ms = Duration::from_millis;
+        assert_eq!(retry_wait(ms(500), 0), ms(500));
+        assert_eq!(retry_wait(ms(500), 1), ms(1_000));
+        assert_eq!(retry_wait(ms(500), 3), ms(4_000));
+        assert_eq!(retry_wait(ms(500), 10), MAX_RETRY_WAIT);
+        assert_eq!(retry_wait(ms(500), u32::MAX), MAX_RETRY_WAIT);
+        let long = Duration::from_secs(60);
+        assert_eq!(retry_wait(long, 5), long, "a long interval is its own cap");
     }
 
     #[test]

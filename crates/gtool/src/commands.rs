@@ -721,9 +721,10 @@ pub fn serve(args: &Args) -> CmdResult {
             let pruned: u64 = lod.iter().map(|(_, r)| r.stats.blocks_pruned).sum();
             let tier = lod.iter().map(|(_, r)| r.tier).max().unwrap_or(0);
             lod_report = format!(
-                "store tee {dir}: pyramid top tier {}, render from tier {tier} ({} signals, {pruned} blocks pruned)\n",
+                "store tee {dir}: pyramid top tier {}, render from tier {tier} ({} signals, {pruned} blocks pruned), {} compactor errors\n",
                 folded.top_tier,
                 lod.len(),
+                gtel::Registry::shared().counter("store.lod.errors").get(),
             );
         }
     }

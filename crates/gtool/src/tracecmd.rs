@@ -18,7 +18,7 @@ use std::time::Duration;
 use gel::{Continue, MainLoop, Priority, Quantizer, TimeDelta, TimeStamp, VirtualClock};
 use gnet::{attach_server, ScopeClient, ScopeServer};
 use gscope::{attach_scope, Scope, SigConfig, SigSource};
-use gstore::{FlightRecorder, Store, StoreConfig};
+use gstore::{Compactor, CompactorConfig, FlightRecorder, Store, StoreConfig};
 use gtel::{DeadlineMonitor, Registry, TraceLog};
 use parking_lot::Mutex;
 
@@ -85,6 +85,8 @@ struct RunReport {
     bundles: Vec<PathBuf>,
     ticks: u64,
     recorded_tuples: u64,
+    /// `store.lod.errors` after a compaction pass over the recording.
+    lod_errors: u64,
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -269,6 +271,13 @@ fn traced_run(cfg: &RunConfig) -> Result<RunReport, Box<dyn std::error::Error>> 
     monitor.lock().scan(&log);
     let recorded_tuples = scope.lock().stats().recorded_tuples;
     scope.lock().stop_recording();
+    // One compaction pass over the recording, so health covers the
+    // compactor: a failed pass is counted in the registry, which is
+    // what health judges, so its `Err` needs no other handling here.
+    let mut compactor = Compactor::new(&store_dir, CompactorConfig::default())?;
+    compactor.set_telemetry(&registry);
+    let _ = compactor.pass();
+    let lod_errors = registry.counter("store.lod.errors").get();
     let _ = std::fs::remove_dir_all(&store_dir);
 
     let bundles = bundles.lock().clone();
@@ -278,6 +287,7 @@ fn traced_run(cfg: &RunConfig) -> Result<RunReport, Box<dyn std::error::Error>> 
         bundles,
         ticks: cfg.ticks,
         recorded_tuples,
+        lod_errors,
     })
 }
 
@@ -299,6 +309,7 @@ fn run_summary(report: &RunReport) -> String {
             ""
         }
     ));
+    out.push_str(&format!("compactor errors: {}\n", report.lod_errors));
     for path in &report.bundles {
         out.push_str(&format!("post-mortem bundle: {}\n", path.display()));
     }
@@ -376,12 +387,19 @@ pub fn trace(args: &Args) -> CmdResult {
 pub fn health(args: &Args) -> CmdResult {
     args.check_known(TRACE_FLAGS)?;
     let cfg = RunConfig::from_args(args)?;
-    let report = traced_run(&cfg)?;
-    let summary = run_summary(&report);
+    verdict(&traced_run(&cfg)?)
+}
+
+/// Health's judgement of one run: a breached SLO window or any
+/// compactor error fails it.
+fn verdict(report: &RunReport) -> CmdResult {
+    let summary = run_summary(report);
     let monitor = report.monitor.lock();
     let text = format!("{}\n{}", summary.trim_end(), monitor.summary());
     if monitor.breached() {
         Err(format!("deadline SLO breached\n{text}").into())
+    } else if report.lod_errors > 0 {
+        Err(format!("compactor errors: {}\n{text}", report.lod_errors).into())
     } else {
         Ok(text)
     }
@@ -460,6 +478,17 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("deadline SLO breached"));
         assert!(text.contains("BREACH"));
+    }
+
+    #[test]
+    fn health_fails_on_compactor_errors() {
+        let cfg = RunConfig::from_args(&args("--ticks 4 --period 100 --no-net")).unwrap();
+        let mut report = traced_run(&cfg).unwrap();
+        assert_eq!(report.lod_errors, 0, "a clean recording compacts cleanly");
+        assert!(verdict(&report).unwrap().contains("compactor errors: 0"));
+        report.lod_errors = 2;
+        let text = verdict(&report).unwrap_err().to_string();
+        assert!(text.contains("compactor errors: 2"), "{text}");
     }
 
     #[test]
