@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gel::{Clock, TimeDelta, TimeStamp};
+use gtel::Counter;
 use parking_lot::Mutex;
 
 use crate::tuple::Tuple;
@@ -78,7 +79,10 @@ struct Core {
     /// queue population, letting the tick path skip all nine locks
     /// when the buffer is empty — the common case for a polling scope.
     drained: AtomicU64,
-    late_drops: AtomicU64,
+    /// Samples rejected as past their deadline. A registry handle, so
+    /// the owning scope's `scope.buffer.late_drops` is this counter
+    /// itself, not a copy kept in step.
+    late_drops: Arc<Counter>,
     /// Bumped by the owning scope whenever its signal set changes, so
     /// producers that cache "this name has a signal" (the network
     /// hub's auto-register) know when to look again.
@@ -204,7 +208,7 @@ impl ScopeBuffer {
         }
         drop(shard);
         if late > 0 {
-            self.core.late_drops.fetch_add(late, Ordering::Relaxed);
+            self.core.late_drops.add(late);
         }
         pushed as u64
     }
@@ -269,7 +273,13 @@ impl ScopeBuffer {
 
     /// Samples rejected because they arrived after their deadline.
     pub fn late_drops(&self) -> u64 {
-        self.core.late_drops.load(Ordering::Relaxed)
+        self.core.late_drops.get()
+    }
+
+    /// The late-drop counter itself, for registering in a metrics
+    /// registry.
+    pub fn late_drop_counter(&self) -> &Arc<Counter> {
+        &self.core.late_drops
     }
 
     /// Samples accepted over the buffer's lifetime.

@@ -28,7 +28,7 @@
 //!   features, implemented.
 //! * [`attach_scope`] — wire a scope to a `gel` main loop, the
 //!   `gtk_timeout`-driven polling of the original.
-//! * [`metric_signal`] / [`StatsExport`] — self-scoping: expose the
+//! * [`metric_signal`] — self-scoping: expose the
 //!   stack's own `gtel` telemetry (tick jitter, buffer depth, poll
 //!   latency) as signals a second scope can visualize live.
 //!
@@ -93,7 +93,7 @@ pub use scope::{
 };
 pub use signal::{EventSink, Signal};
 pub use source::SigSource;
-pub use telemetry::{export_stats, metric_signal, ScopeTelemetry, StatsExport};
+pub use telemetry::{metric_signal, ScopeTelemetry};
 pub use trigger::{Envelope, Trigger, TriggerEdge, TriggerMode};
 pub use tuple::{
     write_tuple_line, RawTuple, Tuple, TupleReader, TupleSink, TupleSource, TupleWriter,

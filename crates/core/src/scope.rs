@@ -73,7 +73,8 @@ impl Mode {
     }
 }
 
-/// Counters describing scope activity.
+/// Counters describing scope activity: a snapshot of the scope's
+/// `scope.*` registry counters (see [`Scope::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScopeStats {
     /// Polling or playback ticks processed.
@@ -89,22 +90,6 @@ pub struct ScopeStats {
     /// True if a recording was stopped by a write error (see
     /// [`Scope::recording_error`]).
     pub recording_failed: bool,
-}
-
-impl crate::telemetry::StatsExport for ScopeStats {
-    fn to_tuples(&self, now: TimeStamp) -> Vec<Tuple> {
-        vec![
-            Tuple::new(now, self.ticks as f64, "scope.ticks"),
-            Tuple::new(now, self.missed_ticks as f64, "scope.missed_ticks"),
-            Tuple::new(now, self.recorded_tuples as f64, "scope.recorded_tuples"),
-            Tuple::new(now, self.late_drops as f64, "scope.late_drops"),
-            Tuple::new(
-                now,
-                if self.recording_failed { 1.0 } else { 0.0 },
-                "scope.recording_failed",
-            ),
-        ]
-    }
 }
 
 type RecordSink = Box<dyn TupleSink>;
@@ -127,7 +112,6 @@ pub struct Scope {
     /// Scope-level trigger: `(source signal, trigger)`.
     trigger: Option<(String, Trigger)>,
     envelopes: HashMap<String, Envelope>,
-    stats: ScopeStats,
     telemetry: ScopeTelemetry,
     /// Interned signal name → index in `signals`; rebuilt on signal-set
     /// changes so tick-time routing is a single hash lookup.
@@ -159,6 +143,10 @@ impl Scope {
     ) -> Self {
         assert!(width > 0, "scope width must be non-zero");
         let buffer = ScopeBuffer::new(Arc::clone(&clock), TimeDelta::from_millis(500));
+        let telemetry = ScopeTelemetry::new(
+            gtel::Registry::shared(),
+            Arc::clone(buffer.late_drop_counter()),
+        );
         Scope {
             name: name.into(),
             width,
@@ -175,8 +163,7 @@ impl Scope {
             recording_error: None,
             trigger: None,
             envelopes: HashMap::new(),
-            stats: ScopeStats::default(),
-            telemetry: ScopeTelemetry::default(),
+            telemetry,
             route: HashMap::new(),
             sig_tel: Vec::new(),
             drain_buf: Vec::new(),
@@ -234,13 +221,18 @@ impl Scope {
         &self.clock
     }
 
-    /// Returns activity counters, folding in the buffer's late-drop
-    /// count and the recording-failure flag.
+    /// Returns activity counters, read from the scope's registry —
+    /// the one place they are counted (scopes that share a registry
+    /// share these counts) — plus the recording-failure flag.
     pub fn stats(&self) -> ScopeStats {
-        let mut s = self.stats;
-        s.late_drops = self.buffer.late_drops();
-        s.recording_failed = self.recording_error.is_some();
-        s
+        let t = &self.telemetry;
+        ScopeStats {
+            ticks: t.ticks.get(),
+            missed_ticks: t.ticks_missed.get(),
+            recorded_tuples: t.record_tuples.get(),
+            late_drops: t.late_drops.get(),
+            recording_failed: self.recording_error.is_some(),
+        }
     }
 
     /// Returns the scope's telemetry handles (and, through them, the
@@ -251,8 +243,11 @@ impl Scope {
 
     /// Re-homes the scope's metrics in `registry` — call before first
     /// use so every component of a process shares one registry.
+    /// [`Scope::stats`] reads the current registry, so counts made
+    /// before the move stay behind (late drops excepted: the buffer's
+    /// counter moves with it).
     pub fn set_telemetry(&mut self, registry: Arc<gtel::Registry>) {
-        self.telemetry = ScopeTelemetry::new(registry);
+        self.telemetry = ScopeTelemetry::new(registry, Arc::clone(self.buffer.late_drop_counter()));
         self.refresh_wiring();
     }
 
@@ -703,10 +698,8 @@ impl Scope {
     }
 
     fn poll_tick(&mut self, info: &TickInfo) {
-        let _span = gtel::span("scope.tick", self.stats.ticks + 1);
+        let _span = gtel::span("scope.tick", self.telemetry.ticks.get() + 1);
         let poll_started = std::time::Instant::now();
-        self.stats.ticks += 1;
-        self.stats.missed_ticks += info.missed;
         self.telemetry.ticks.inc();
         if info.missed > 0 {
             self.telemetry.ticks_missed.add(info.missed);
@@ -748,7 +741,6 @@ impl Scope {
             self.sig_tel[i].record_duration(sig_started.elapsed());
         }
         self.telemetry.buffer_depth.set_count(self.buffer.len());
-        self.telemetry.sync_late_drops(self.buffer.late_drops());
         self.record_tick(info.now);
         self.update_envelopes();
         self.telemetry
@@ -757,7 +749,7 @@ impl Scope {
     }
 
     fn playback_tick(&mut self, info: &TickInfo) {
-        let _span = gtel::span("scope.tick", self.stats.ticks + 1);
+        let _span = gtel::span("scope.tick", self.telemetry.ticks.get() + 1);
         let Mode::Playback {
             tuples,
             slots,
@@ -768,8 +760,6 @@ impl Scope {
         else {
             return;
         };
-        self.stats.ticks += 1;
-        self.stats.missed_ticks += info.missed;
         self.telemetry.ticks.inc();
         if info.missed > 0 {
             self.telemetry.ticks_missed.add(info.missed);
@@ -811,19 +801,21 @@ impl Scope {
         let Some(rec) = self.recorder.as_mut() else {
             return;
         };
-        let _span = gtel::span("scope.record", self.stats.recorded_tuples);
+        let _span = gtel::span("scope.record", self.telemetry.record_tuples.get());
         let write_started = std::time::Instant::now();
         let bytes_before = rec.bytes_written();
         let mut failed = None;
+        let mut written = 0u64;
         for sig in &self.signals {
             if let Some(Some(v)) = sig.history().latest() {
                 if let Err(e) = rec.write_parts(now, v, Some(sig.name())) {
                     failed = Some(e.to_string());
                     break;
                 }
-                self.stats.recorded_tuples += 1;
+                written += 1;
             }
         }
+        self.telemetry.record_tuples.add(written);
         let bytes_after = rec.bytes_written();
         self.telemetry
             .record_write_ns
@@ -1296,6 +1288,54 @@ mod tests {
         scope.start_recording(Vec::new());
         assert!(scope.recording_error().is_none());
         assert!(!scope.stats().recording_failed);
+    }
+
+    #[test]
+    fn scope_stats_are_the_registry_counts() {
+        let clock = VirtualClock::new();
+        let mut scope = Scope::new("single", 8, 100, Arc::new(clock.clone()));
+        let registry = gtel::Registry::shared();
+        scope.set_telemetry(Arc::clone(&registry));
+        let v = IntVar::new(0);
+        scope
+            .add_signal("v", v.clone().into(), SigConfig::default())
+            .unwrap();
+        scope
+            .add_signal("b", SigSource::Buffer, SigConfig::default())
+            .unwrap();
+        scope.set_delay(TimeDelta::from_millis(10));
+        scope.set_polling_mode(TimeDelta::from_millis(50)).unwrap();
+        scope.start();
+        scope.start_recording_sink(FailingSink {
+            good_writes: 3,
+            fail_flush: false,
+            writes: 0,
+        });
+        for (ms, missed) in [(50, 0), (200, 2), (250, 0), (300, 1)] {
+            v.set(ms as i64);
+            clock.set(TimeStamp::from_millis(ms));
+            assert!(!scope.buffer().push_sample("b", TimeStamp::ZERO, 1.0));
+            scope.tick(&TickInfo {
+                missed,
+                ..tick_at(ms)
+            });
+        }
+        let s = scope.stats();
+        assert_eq!((s.ticks, s.missed_ticks, s.late_drops), (4, 3, 4));
+        assert_eq!(s.recorded_tuples, 3);
+        assert!(s.recording_failed && scope.recording_error().is_some());
+        for (name, field) in [
+            ("scope.ticks", s.ticks),
+            ("scope.ticks.missed", s.missed_ticks),
+            ("scope.record.tuples", s.recorded_tuples),
+            ("scope.buffer.late_drops", s.late_drops),
+            ("scope.record.errors", u64::from(s.recording_failed)),
+        ] {
+            match registry.get(name) {
+                Some(gtel::Metric::Counter(c)) => assert_eq!(c.get(), field, "{name}"),
+                other => panic!("{name} is not a registered counter: {other:?}"),
+            }
+        }
     }
 
     #[test]

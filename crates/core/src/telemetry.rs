@@ -1,5 +1,7 @@
-//! Scope-side telemetry: cached gtel handles, the stats → tuple
-//! export trait, and the self-scoping adapter.
+//! Scope-side telemetry: cached gtel handles and the self-scoping
+//! adapter. The registry is the only place scope activity is
+//! counted; [`ScopeStats`](crate::ScopeStats) is a snapshot of it, and
+//! `gtel::tuple_lines` exports it as §3.3 tuples.
 //!
 //! **Self-scoping** is the observability counterpart of the paper's
 //! §4.5 microbenchmarks: instead of measuring gscope's overhead
@@ -11,11 +13,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gel::{LoopStats, TimeStamp};
 use gtel::{Counter, Gauge, HistogramStat, LatencyHistogram, Registry};
 
 use crate::source::SigSource;
-use crate::tuple::Tuple;
 
 /// Exposes registry metric `name` as a polled `FUNC` signal source.
 ///
@@ -25,47 +25,6 @@ use crate::tuple::Tuple;
 /// Returns `None` if `name` is not registered yet.
 pub fn metric_signal(registry: &Registry, name: &str, stat: HistogramStat) -> Option<SigSource> {
     registry.sampler(name, stat).map(SigSource::func)
-}
-
-/// Common export shape for the stack's stats structs: render the
-/// counters as §3.3 tuples stamped `now`, ready for recording,
-/// streaming, or replay into a scope.
-pub trait StatsExport {
-    /// One tuple per counter, named `<prefix>.<field>`.
-    fn to_tuples(&self, now: TimeStamp) -> Vec<Tuple>;
-}
-
-/// Exports several stats structs with one shared timestamp.
-///
-/// Calling `to_tuples` per struct stamps each call with its own clock
-/// reading, so a multi-struct export carries skewed timestamps; this
-/// captures `now` once and stamps every tuple with it, which is what
-/// the flight recorder and `gtool stats --json` need for a coherent
-/// snapshot.
-pub fn export_stats(now: TimeStamp, stats: &[&dyn StatsExport]) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    for s in stats {
-        out.extend(s.to_tuples(now));
-    }
-    out
-}
-
-impl StatsExport for LoopStats {
-    fn to_tuples(&self, now: TimeStamp) -> Vec<Tuple> {
-        vec![
-            Tuple::new(now, self.iterations as f64, "loop.iterations"),
-            Tuple::new(
-                now,
-                self.timeouts_dispatched as f64,
-                "loop.timeouts_dispatched",
-            ),
-            Tuple::new(now, self.ticks_missed as f64, "loop.ticks_missed"),
-            Tuple::new(now, self.io_dispatches as f64, "loop.io_dispatches"),
-            Tuple::new(now, self.io_idle_polls as f64, "loop.io_idle_polls"),
-            Tuple::new(now, self.idle_runs as f64, "loop.idle_runs"),
-            Tuple::new(now, self.invokes as f64, "loop.invokes"),
-        ]
-    }
 }
 
 /// Cached metric handles for one [`Scope`](crate::scope::Scope).
@@ -80,10 +39,13 @@ pub struct ScopeTelemetry {
     pub poll_ns: Arc<LatencyHistogram>,
     /// `scope.buffer.depth` — buffered samples awaiting drain.
     pub buffer_depth: Arc<Gauge>,
-    /// `scope.buffer.late_drops` — samples rejected as too old.
+    /// `scope.buffer.late_drops` — samples rejected as too old: the
+    /// scope buffer's own counter, registered under this name.
     pub late_drops: Arc<Counter>,
     /// `scope.record.write_ns` — recorder write latency per tick.
     pub record_write_ns: Arc<LatencyHistogram>,
+    /// `scope.record.tuples` — tuples written by the recorder.
+    pub record_tuples: Arc<Counter>,
     /// `scope.record.bytes` — bytes emitted by the recorder.
     pub record_bytes: Arc<Counter>,
     /// `scope.record.errors` — recordings stopped by write errors.
@@ -91,24 +53,24 @@ pub struct ScopeTelemetry {
     /// Per-signal poll-duration histograms, resolved on first use as
     /// `scope.signal.<name>.poll_ns`.
     signal_poll: HashMap<String, Arc<LatencyHistogram>>,
-    /// Late-drop total already folded into the counter.
-    late_drops_seen: u64,
 }
 
 impl ScopeTelemetry {
-    /// Resolves handles in `registry`.
-    pub fn new(registry: Arc<Registry>) -> Self {
+    /// Resolves handles in `registry` and registers `late_drops` (the
+    /// scope buffer's counter) as `scope.buffer.late_drops`.
+    pub fn new(registry: Arc<Registry>, late_drops: Arc<Counter>) -> Self {
+        registry.register_counter("scope.buffer.late_drops", Arc::clone(&late_drops));
         ScopeTelemetry {
             ticks: registry.counter("scope.ticks"),
             ticks_missed: registry.counter("scope.ticks.missed"),
             poll_ns: registry.histogram("scope.tick.poll_ns"),
             buffer_depth: registry.gauge("scope.buffer.depth"),
-            late_drops: registry.counter("scope.buffer.late_drops"),
+            late_drops,
             record_write_ns: registry.histogram("scope.record.write_ns"),
+            record_tuples: registry.counter("scope.record.tuples"),
             record_bytes: registry.counter("scope.record.bytes"),
             record_errors: registry.counter("scope.record.errors"),
             signal_poll: HashMap::new(),
-            late_drops_seen: 0,
             registry,
         }
     }
@@ -129,65 +91,84 @@ impl ScopeTelemetry {
         }
         &self.signal_poll[name]
     }
-
-    /// Folds the buffer's cumulative late-drop count into the
-    /// `scope.buffer.late_drops` counter (the buffer counts since
-    /// creation; the counter must only advance by the delta).
-    pub fn sync_late_drops(&mut self, buffer_total: u64) {
-        let delta = buffer_total.saturating_sub(self.late_drops_seen);
-        if delta > 0 {
-            self.late_drops.add(delta);
-            self.late_drops_seen = buffer_total;
-        }
-    }
 }
 
 impl Default for ScopeTelemetry {
     fn default() -> Self {
-        ScopeTelemetry::new(Registry::shared())
+        ScopeTelemetry::new(Registry::shared(), Arc::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scope::Scope;
+    use crate::tuple::Tuple;
+    use gel::{Clock, Continue, MainLoop, Quantizer, TimeDelta, TimeStamp, VirtualClock};
 
-    #[test]
-    fn loop_stats_export_shape() {
-        let stats = LoopStats {
-            iterations: 10,
-            timeouts_dispatched: 6,
-            ticks_missed: 2,
-            io_dispatches: 1,
-            io_idle_polls: 3,
-            idle_runs: 0,
-            invokes: 4,
-        };
-        let now = TimeStamp::from_millis(500);
-        let tuples = stats.to_tuples(now);
-        assert_eq!(tuples.len(), 7);
-        assert!(tuples.iter().all(|t| t.time == now));
-        let missed = tuples
+    /// Parses `gtel::tuple_lines` output with the §3.3 codec.
+    fn exported(registry: &Registry, now_ms: f64) -> Vec<Tuple> {
+        gtel::tuple_lines(&registry.snapshot(), now_ms)
             .iter()
-            .find(|t| t.name.as_deref() == Some("loop.ticks_missed"))
-            .expect("field exported");
-        assert_eq!(missed.value, 2.0);
+            .enumerate()
+            .map(|(i, line)| Tuple::parse_line(line, i + 1).expect("exporter emits §3.3 lines"))
+            .collect()
+    }
+
+    fn value_of(tuples: &[Tuple], name: &str) -> f64 {
+        tuples
+            .iter()
+            .find(|t| t.name.as_deref() == Some(name))
+            .unwrap_or_else(|| panic!("{name} not exported"))
+            .value
     }
 
     #[test]
-    fn export_stats_shares_one_timestamp() {
-        let a = LoopStats {
-            iterations: 1,
-            ..LoopStats::default()
-        };
-        let b = LoopStats {
-            iterations: 2,
-            ..LoopStats::default()
-        };
-        let now = TimeStamp::from_millis(777);
-        let tuples = export_stats(now, &[&a, &b]);
-        assert_eq!(tuples.len(), 14);
-        assert!(tuples.iter().all(|t| t.time == now));
+    fn loop_metrics_export_as_tuples() {
+        let clock = VirtualClock::new();
+        // The third wait is delivered 35 ms late: 3 whole periods lost.
+        clock.set_latency_model(Some(Box::new(|n| if n == 2 { 35_000 } else { 0 })));
+        let mut ml = MainLoop::with_quantizer(Arc::new(clock), Quantizer::exact());
+        let registry = Registry::shared();
+        ml.set_telemetry(Arc::clone(&registry));
+        ml.add_timeout(TimeDelta::from_millis(10), Box::new(|_| Continue::Keep));
+        ml.run_until(TimeStamp::from_millis(100));
+        let stats = ml.stats();
+        assert_eq!(stats.ticks_missed, 3);
+        let tuples = exported(&registry, 500.0);
+        assert!(tuples.iter().all(|t| t.time == TimeStamp::from_millis(500)));
+        for (name, field) in [
+            ("gel.loop.iterations", stats.iterations),
+            ("gel.tick.dispatched", stats.timeouts_dispatched),
+            ("gel.tick.missed", stats.ticks_missed),
+            ("gel.io.dispatches", stats.io_dispatches),
+            ("gel.io.idle_polls", stats.io_idle_polls),
+            ("gel.idle.runs", stats.idle_runs),
+            ("gel.loop.invokes", stats.invokes),
+        ] {
+            assert_eq!(value_of(&tuples, name), field as f64, "{name}");
+        }
+    }
+
+    #[test]
+    fn registry_export_shares_one_timestamp() {
+        // Two components in one registry export as one snapshot, every
+        // tuple stamped with the same time.
+        let registry = Registry::shared();
+        let mut ml = MainLoop::new(Arc::new(VirtualClock::new()));
+        ml.set_telemetry(Arc::clone(&registry));
+        ml.iteration(false);
+        let tel = ScopeTelemetry::new(Arc::clone(&registry), Arc::default());
+        tel.ticks.add(2);
+        let tuples = exported(&registry, 777.0);
+        assert!(
+            tuples.len() > 14,
+            "loop and scope metrics: {}",
+            tuples.len()
+        );
+        assert!(tuples.iter().all(|t| t.time == TimeStamp::from_millis(777)));
+        assert_eq!(value_of(&tuples, "gel.loop.iterations"), 1.0);
+        assert_eq!(value_of(&tuples, "scope.ticks"), 2.0);
     }
 
     #[test]
@@ -205,12 +186,40 @@ mod tests {
     }
 
     #[test]
-    fn late_drop_sync_is_delta_based() {
-        let mut tel = ScopeTelemetry::default();
-        tel.sync_late_drops(3);
-        tel.sync_late_drops(3);
-        tel.sync_late_drops(7);
-        assert_eq!(tel.late_drops.get(), 7);
+    fn late_drops_are_counted_once() {
+        // The scope buffer's counter is the registry's: ticks that
+        // read it never add to it again.
+        let clock = VirtualClock::new();
+        let registry = Registry::shared();
+        let mut scope = Scope::new("late", 32, 16, Arc::new(clock.clone()));
+        scope.set_telemetry(Arc::clone(&registry));
+        scope
+            .add_signal("s", SigSource::Buffer, Default::default())
+            .unwrap();
+        scope.set_delay(TimeDelta::from_millis(10));
+        scope.set_polling_mode(TimeDelta::from_millis(10)).unwrap();
+        scope.start();
+        clock.set(TimeStamp::from_millis(100));
+        let buf = scope.buffer().clone();
+        for late in [3u64, 0, 4] {
+            for i in 0..late {
+                assert!(!buf.push_sample("s", TimeStamp::from_millis(i), 1.0));
+            }
+            for _ in 0..2 {
+                scope.tick(&gel::TickInfo {
+                    now: clock.now(),
+                    scheduled: clock.now(),
+                    missed: 0,
+                });
+            }
+        }
+        assert_eq!(buf.late_drops(), 7);
+        assert_eq!(scope.stats().late_drops, 7);
+        assert_eq!(registry.counter("scope.buffer.late_drops").get(), 7);
+        assert_eq!(
+            value_of(&exported(&registry, 0.0), "scope.buffer.late_drops"),
+            7.0
+        );
     }
 
     #[test]

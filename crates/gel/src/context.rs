@@ -126,7 +126,8 @@ enum Slot {
     },
 }
 
-/// Counters describing what the loop has done so far.
+/// Counters describing what the loop has done so far: a snapshot of
+/// the loop's `gel.*` registry counters (see [`MainLoop::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoopStats {
     /// Loop iterations executed.
@@ -202,7 +203,6 @@ pub struct MainLoop {
     invoke_tx: Sender<InvokeFn>,
     invoke_rx: Receiver<InvokeFn>,
     quit: Arc<AtomicBool>,
-    stats: LoopStats,
     telemetry: LoopTelemetry,
     meters: crate::telemetry::StageMeters,
     last_lateness_ns: u64,
@@ -228,7 +228,6 @@ impl MainLoop {
             invoke_tx,
             invoke_rx,
             quit: Arc::new(AtomicBool::new(false)),
-            stats: LoopStats::default(),
             telemetry: LoopTelemetry::default(),
             meters: crate::telemetry::StageMeters::new(),
             last_lateness_ns: 0,
@@ -250,9 +249,20 @@ impl MainLoop {
         self.quantizer = q;
     }
 
-    /// Returns accumulated loop statistics.
+    /// Returns accumulated loop statistics, read from the loop's
+    /// registry counters — the one place they are counted. Loops that
+    /// share a registry share these counts.
     pub fn stats(&self) -> LoopStats {
-        self.stats
+        let t = &self.telemetry;
+        LoopStats {
+            iterations: t.iterations.get(),
+            timeouts_dispatched: t.ticks_dispatched.get(),
+            ticks_missed: t.ticks_missed.get(),
+            io_dispatches: t.io_dispatches.get(),
+            io_idle_polls: t.io_idle_polls.get(),
+            idle_runs: t.idle_runs.get(),
+            invokes: t.invokes.get(),
+        }
     }
 
     /// Returns the loop's telemetry handles (and, through them, the
@@ -263,6 +273,8 @@ impl MainLoop {
 
     /// Re-homes the loop's metrics in `registry` — call before first
     /// use so every component of a process shares one registry.
+    /// [`MainLoop::stats`] reads the current registry, so counts made
+    /// before the move stay behind.
     pub fn set_telemetry(&mut self, registry: Arc<gtel::Registry>) {
         self.telemetry = LoopTelemetry::new(registry);
     }
@@ -405,7 +417,6 @@ impl MainLoop {
                 break;
             };
             any = true;
-            self.stats.invokes += 1;
             self.telemetry.invokes.inc();
             f(self);
         }
@@ -491,8 +502,6 @@ impl MainLoop {
                 scheduled: next,
                 missed,
             };
-            self.stats.timeouts_dispatched += 1;
-            self.stats.ticks_missed += missed;
             self.last_lateness_ns =
                 self.telemetry
                     .record_tick(lateness, missed, self.last_lateness_ns);
@@ -530,10 +539,10 @@ impl MainLoop {
             let outcome = cb();
             match outcome {
                 IoPoll::Worked => {
-                    self.stats.io_dispatches += 1;
+                    self.telemetry.io_dispatches.inc();
                     any = true;
                 }
-                IoPoll::Idle => self.stats.io_idle_polls += 1,
+                IoPoll::Idle => self.telemetry.io_idle_polls.inc(),
                 IoPoll::Remove => {}
             }
             let kind = SourceKind::Io { cb };
@@ -559,7 +568,7 @@ impl MainLoop {
             let SourceKind::Idle { mut cb } = kind else {
                 unreachable!()
             };
-            self.stats.idle_runs += 1;
+            self.telemetry.idle_runs.inc();
             any = true;
             let decision = cb();
             let kind = SourceKind::Idle { cb };
@@ -612,12 +621,11 @@ impl MainLoop {
     /// quantized deadline or a wake-up.
     pub fn iteration(&mut self, block: bool) -> Iteration {
         let dispatch_started = std::time::Instant::now();
-        self.stats.iterations += 1;
         self.telemetry.iterations.inc();
         // Root span for this tick of the loop: every stage span opened
         // during dispatch (scope tick, render, net poll, store flush)
         // becomes its child, so one iteration's cost decomposes.
-        let root_span = gtel::span("gel.iteration", self.stats.iterations);
+        let root_span = gtel::span("gel.iteration", self.telemetry.iterations.get());
         let mut dispatched = self.drain_invokes();
         let now = self.clock.now();
         let t0 = std::time::Instant::now();
@@ -738,6 +746,47 @@ mod tests {
         let clock = VirtualClock::new();
         let ml = MainLoop::with_quantizer(Arc::new(clock.clone()), Quantizer::exact());
         (ml, clock)
+    }
+
+    #[test]
+    fn loop_stats_are_the_registry_counts() {
+        let clock = VirtualClock::new();
+        // The third wait is delivered 35 ms late: missed ticks.
+        clock.set_latency_model(Some(Box::new(|n| if n == 2 { 35_000 } else { 0 })));
+        let mut ml = MainLoop::with_quantizer(Arc::new(clock.clone()), Quantizer::exact());
+        let registry = gtel::Registry::shared();
+        ml.set_telemetry(Arc::clone(&registry));
+        let mut polls = 0u64;
+        ml.add_io_watch(Box::new(move || {
+            polls += 1;
+            if polls.is_multiple_of(2) {
+                IoPoll::Worked
+            } else {
+                IoPoll::Idle
+            }
+        }));
+        ml.add_idle(Box::new(|| Continue::Remove));
+        ml.add_timeout(TimeDelta::from_millis(10), Box::new(|_| Continue::Keep));
+        ml.handle().invoke(|_| {});
+        ml.run_until(TimeStamp::from_millis(100));
+
+        let s = ml.stats();
+        assert!(s.ticks_missed > 0 && s.io_dispatches > 0 && s.io_idle_polls > 0);
+        assert_eq!((s.idle_runs, s.invokes), (1, 1));
+        for (name, field) in [
+            ("gel.loop.iterations", s.iterations),
+            ("gel.tick.dispatched", s.timeouts_dispatched),
+            ("gel.tick.missed", s.ticks_missed),
+            ("gel.io.dispatches", s.io_dispatches),
+            ("gel.io.idle_polls", s.io_idle_polls),
+            ("gel.idle.runs", s.idle_runs),
+            ("gel.loop.invokes", s.invokes),
+        ] {
+            match registry.get(name) {
+                Some(gtel::Metric::Counter(c)) => assert_eq!(c.get(), field, "{name}"),
+                other => panic!("{name} is not a registered counter: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,12 @@ pub struct LoopTelemetry {
     pub tick_lateness_ns: Arc<LatencyHistogram>,
     /// `gel.tick.jitter_ns` — |lateness − previous lateness|.
     pub tick_jitter_ns: Arc<LatencyHistogram>,
+    /// `gel.io.dispatches` — I/O watch polls that found work.
+    pub io_dispatches: Arc<Counter>,
+    /// `gel.io.idle_polls` — I/O watch polls that found nothing.
+    pub io_idle_polls: Arc<Counter>,
+    /// `gel.idle.runs` — idle callbacks run.
+    pub idle_runs: Arc<Counter>,
     /// `gel.loop.duty_cycle` — dispatch busy ÷ wall over the last
     /// publish window (the §4.6 uniprocessor-equivalent CPU cost).
     pub duty_cycle: Arc<Gauge>,
@@ -58,6 +64,9 @@ impl LoopTelemetry {
             ticks_missed: registry.counter("gel.tick.missed"),
             tick_lateness_ns: registry.histogram("gel.tick.lateness_ns"),
             tick_jitter_ns: registry.histogram("gel.tick.jitter_ns"),
+            io_dispatches: registry.counter("gel.io.dispatches"),
+            io_idle_polls: registry.counter("gel.io.idle_polls"),
+            idle_runs: registry.counter("gel.idle.runs"),
             duty_cycle: registry.gauge("gel.loop.duty_cycle"),
             overhead_fraction: registry.gauge("gel.loop.overhead_fraction"),
             stage_timeout_duty: registry.gauge("gel.stage.timeout.duty_cycle"),

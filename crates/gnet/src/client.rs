@@ -31,7 +31,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
 use gel::{Clock, IoPoll, TimeStamp};
-use gscope::{intern, write_tuple_line, StatsExport, Tuple};
+use gscope::{intern, write_tuple_line, Tuple};
 use gtel::{Counter, Gauge, Registry};
 
 use crate::clock::{wire_now_us, ClockEstimator, ClockStats};
@@ -49,7 +49,8 @@ const BATCH_FLUSH_BYTES: usize = 32 << 10;
 /// Default gap between clock-sync probes on a negotiated connection.
 const PING_INTERVAL_US: u64 = 200_000;
 
-/// Counters describing client activity.
+/// Counters describing client activity: a snapshot of the client's
+/// `net.client.*` registry counters (see [`ScopeClient::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// Tuples accepted by [`ScopeClient::send`].
@@ -64,22 +65,6 @@ pub struct ClientStats {
     pub recv_errors: u64,
 }
 
-impl StatsExport for ClientStats {
-    fn to_tuples(&self, now: TimeStamp) -> Vec<Tuple> {
-        vec![
-            Tuple::new(now, self.tuples_queued as f64, "net.client.tuples_out"),
-            Tuple::new(now, self.bytes_sent as f64, "net.client.bytes_sent"),
-            Tuple::new(
-                now,
-                self.pumps_with_progress as f64,
-                "net.client.pumps_with_progress",
-            ),
-            Tuple::new(now, self.tuples_received as f64, "net.client.tuples_in"),
-            Tuple::new(now, self.recv_errors as f64, "net.client.recv_errors"),
-        ]
-    }
-}
-
 /// Out-of-band notifications decoded from the server stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamEvent {
@@ -91,7 +76,8 @@ pub enum StreamEvent {
     CatchUpEnd(u64),
 }
 
-/// Cached gtel handles for one [`ScopeClient`].
+/// Cached gtel handles for one [`ScopeClient`] — the only place its
+/// activity is counted.
 #[derive(Debug)]
 struct ClientTelemetry {
     registry: Arc<Registry>,
@@ -99,6 +85,12 @@ struct ClientTelemetry {
     tuples_out: Arc<Counter>,
     /// `net.client.bytes_sent` — bytes the socket accepted.
     bytes_sent: Arc<Counter>,
+    /// `net.client.pumps_with_progress` — pumps that moved bytes.
+    pumps_with_progress: Arc<Counter>,
+    /// `net.client.tuples_in` — tuples received from the server.
+    tuples_in: Arc<Counter>,
+    /// `net.client.recv_errors` — server messages not decoded.
+    recv_errors: Arc<Counter>,
     /// `net.client.reconnects` — successful reconnections.
     reconnects: Arc<Counter>,
     /// `net.client.queue_bytes` — out-buffer depth after each pump.
@@ -116,6 +108,9 @@ impl ClientTelemetry {
         ClientTelemetry {
             tuples_out: registry.counter("net.client.tuples_out"),
             bytes_sent: registry.counter("net.client.bytes_sent"),
+            pumps_with_progress: registry.counter("net.client.pumps_with_progress"),
+            tuples_in: registry.counter("net.client.tuples_in"),
+            recv_errors: registry.counter("net.client.recv_errors"),
             reconnects: registry.counter("net.client.reconnects"),
             queue_bytes: registry.gauge("net.client.queue_bytes"),
             clock_offset: registry.gauge("net.client.clock.offset_us"),
@@ -169,9 +164,7 @@ pub struct ScopeClient {
     last_ping_us: u64,
     /// Gap between probes; tests shrink this to converge fast.
     ping_interval_us: u64,
-    stats: ClientStats,
     closed: bool,
-    reconnects: u64,
     telemetry: ClientTelemetry,
 }
 
@@ -206,9 +199,7 @@ impl ScopeClient {
             clock: ClockEstimator::new(),
             last_ping_us: 0,
             ping_interval_us: PING_INTERVAL_US,
-            stats: ClientStats::default(),
             closed: false,
-            reconnects: 0,
             telemetry: ClientTelemetry::default(),
         })
     }
@@ -292,7 +283,9 @@ impl ScopeClient {
         &self.telemetry.registry
     }
 
-    /// Re-homes the client's metrics into `registry`.
+    /// Re-homes the client's metrics into `registry`. Call before first
+    /// use: [`ScopeClient::stats`] reads the current registry, so counts
+    /// made before the move stay behind.
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
         self.telemetry = ClientTelemetry::new(registry);
     }
@@ -312,7 +305,6 @@ impl ScopeClient {
         stream.set_nodelay(true)?;
         self.stream = stream;
         self.closed = false;
-        self.reconnects += 1;
         self.proto = Protocol::Text;
         self.peer_caps = 0;
         self.clock = ClockEstimator::new();
@@ -333,12 +325,21 @@ impl ScopeClient {
 
     /// Times [`ScopeClient::reconnect`] succeeded.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.telemetry.reconnects.get()
     }
 
-    /// Returns client statistics.
+    /// Returns client statistics, read from the client's registry —
+    /// the one place they are counted. Clients that share a registry
+    /// share these counts.
     pub fn stats(&self) -> ClientStats {
-        self.stats
+        let t = &self.telemetry;
+        ClientStats {
+            tuples_queued: t.tuples_out.get(),
+            bytes_sent: t.bytes_sent.get(),
+            pumps_with_progress: t.pumps_with_progress.get(),
+            tuples_received: t.tuples_in.get(),
+            recv_errors: t.recv_errors.get(),
+        }
     }
 
     /// Bytes queued but not yet written (including any un-flushed
@@ -387,7 +388,6 @@ impl ScopeClient {
     }
 
     fn after_queue(&mut self) {
-        self.stats.tuples_queued += 1;
         self.telemetry.tuples_out.inc();
         if self.enc.pending_bytes() >= BATCH_FLUSH_BYTES {
             self.flush_batch();
@@ -480,7 +480,6 @@ impl ScopeClient {
                 }
                 Ok(n) => {
                     self.outbuf.drain(..n);
-                    self.stats.bytes_sent += n as u64;
                     self.telemetry.bytes_sent.add(n as u64);
                     progressed = true;
                 }
@@ -498,7 +497,7 @@ impl ScopeClient {
         }
         self.telemetry.queue_bytes.set_count(self.pending_bytes());
         if progressed {
-            self.stats.pumps_with_progress += 1;
+            self.telemetry.pumps_with_progress.inc();
             IoPoll::Worked
         } else {
             IoPoll::Idle
@@ -543,7 +542,7 @@ impl ScopeClient {
                 Err(_) => {
                     // Server framing broken: nothing downstream can be
                     // trusted.
-                    self.stats.recv_errors += 1;
+                    self.telemetry.recv_errors.inc();
                     self.closed = true;
                     break;
                 }
@@ -579,7 +578,7 @@ impl ScopeClient {
                     frame_pong(&mut self.scratch, t0, now, now);
                     self.outbuf.extend(self.scratch.iter().copied());
                 }
-                Err(_) => self.stats.recv_errors += 1,
+                Err(_) => self.telemetry.recv_errors.inc(),
             },
             Msg::Frame { op: OP_PONG, body } => match decode_pong(body) {
                 Ok((t0, t1, t2)) => {
@@ -590,13 +589,13 @@ impl ScopeClient {
                         self.telemetry.clock_error.set(s.error_us);
                     }
                 }
-                Err(_) => self.stats.recv_errors += 1,
+                Err(_) => self.telemetry.recv_errors.inc(),
             },
             Msg::Frame { op: OP_DATA, body } => {
                 self.wire_scratch.clear();
                 match decode_data(body, &mut self.wire_scratch) {
                     Ok(n) => {
-                        self.stats.tuples_received += u64::from(n);
+                        self.telemetry.tuples_in.add(u64::from(n));
                         for rec in self.wire_scratch.drain(..) {
                             self.rx.push(Tuple {
                                 time: TimeStamp::from_micros(rec.time_us),
@@ -606,7 +605,7 @@ impl ScopeClient {
                         }
                     }
                     Err(_) => {
-                        self.stats.recv_errors += 1;
+                        self.telemetry.recv_errors.inc();
                         self.closed = true;
                     }
                 }
@@ -616,17 +615,17 @@ impl ScopeClient {
                 body,
             } => match decode_arg(body) {
                 Ok(us) => self.events.push(StreamEvent::CatchUpBegin(us)),
-                Err(_) => self.stats.recv_errors += 1,
+                Err(_) => self.telemetry.recv_errors.inc(),
             },
             Msg::Frame {
                 op: OP_CATCHUP_END,
                 body,
             } => match decode_arg(body) {
                 Ok(us) => self.events.push(StreamEvent::CatchUpEnd(us)),
-                Err(_) => self.stats.recv_errors += 1,
+                Err(_) => self.telemetry.recv_errors.inc(),
             },
             Msg::Frame { .. } => {
-                self.stats.recv_errors += 1;
+                self.telemetry.recv_errors.inc();
             }
             Msg::Line(line) => self.handle_line(line),
         }
@@ -634,7 +633,7 @@ impl ScopeClient {
 
     fn handle_line(&mut self, line: &[u8]) {
         let Ok(text) = std::str::from_utf8(line) else {
-            self.stats.recv_errors += 1;
+            self.telemetry.recv_errors.inc();
             return;
         };
         let trimmed = text.trim();
@@ -658,9 +657,9 @@ impl ScopeClient {
         match Tuple::parse_raw(trimmed, 0) {
             Ok(raw) => {
                 self.rx.push(raw.to_tuple());
-                self.stats.tuples_received += 1;
+                self.telemetry.tuples_in.inc();
             }
-            Err(_) => self.stats.recv_errors += 1,
+            Err(_) => self.telemetry.recv_errors.inc(),
         }
     }
 

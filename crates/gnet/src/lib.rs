@@ -257,43 +257,120 @@ mod tests {
 
     #[test]
     fn server_and_client_stats_export_as_tuples() {
-        use gscope::StatsExport;
-        let s = ServerStats {
-            connections: 2,
-            disconnects: 1,
-            tuples_received: 40,
-            parse_errors: 3,
-            protocol_errors: 1,
-            tuples_dropped: 5,
-            tuples_stored: 30,
-            store_drops: 2,
-            store_errors: 0,
-            catch_up_tuples: 12,
-            ..ServerStats::default()
-        };
-        let now = TimeStamp::from_millis(250);
-        let tuples = s.to_tuples(now);
-        assert_eq!(tuples.len(), 16);
-        assert!(tuples.iter().all(|t| t.time == now));
-        let parse = tuples
+        // Hub and client share one registry; its snapshot exports as
+        // §3.3 tuples with one timestamp, and every typed-snapshot
+        // field arrives under its registry name.
+        use std::io::Write;
+        let registry = gtel::Registry::shared();
+        let clock = VirtualClock::new();
+        let scope = Scope::new("exp", 64, 48, Arc::new(clock)).into_shared();
+        scope.lock().set_delay(TimeDelta::from_secs(100));
+        let mut server = ScopeServer::bind("127.0.0.1:0").unwrap();
+        server.set_telemetry(Arc::clone(&registry));
+        server.add_scope(Arc::clone(&scope));
+        let addr = server.local_addr().unwrap();
+        let mut client = ScopeClient::connect(addr).unwrap();
+        client.set_telemetry(Arc::clone(&registry));
+        for i in 0..40u64 {
+            client.send_at(TimeStamp::from_millis(i), "m", i as f64);
+        }
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        raw.write_all(b"garbage\nnope nope nope\n1.0 notanumber sig\n")
+            .unwrap();
+        spin_until(|| {
+            pump_pair(&mut client, &mut server);
+            let s = server.stats();
+            s.tuples_received == 40 && s.parse_errors == 3
+        });
+        let tuples: Vec<gscope::Tuple> = gtel::tuple_lines(&registry.snapshot(), 250.0)
             .iter()
-            .find(|t| t.name.as_deref() == Some("net.server.parse_errors"))
-            .expect("exported");
-        assert_eq!(parse.value, 3.0);
+            .map(|line| gscope::Tuple::parse_line(line, 1).unwrap())
+            .collect();
+        assert!(tuples.iter().all(|t| t.time == TimeStamp::from_millis(250)));
+        let exported = |name: &str| -> f64 {
+            tuples
+                .iter()
+                .find(|t| t.name.as_deref() == Some(name))
+                .unwrap_or_else(|| panic!("{name} not exported"))
+                .value
+        };
+        let s = server.stats();
+        assert_eq!(exported("net.server.parse_errors"), 3.0);
+        for (name, field) in [
+            ("net.server.connections", s.connections),
+            ("net.server.disconnects", s.disconnects),
+            ("net.server.tuples_in", s.tuples_received),
+            ("net.server.parse_errors", s.parse_errors),
+            ("net.server.protocol_errors", s.protocol_errors),
+            ("net.server.tuples_dropped", s.tuples_dropped),
+            ("net.server.tuples_stored", s.tuples_stored),
+            ("net.server.store_drops", s.store_drops),
+            ("net.server.store_errors", s.store_errors),
+            ("net.server.catch_up_tuples", s.catch_up_tuples),
+            ("net.server.tuples_out", s.tuples_out),
+            ("net.server.bytes_out", s.bytes_out),
+            ("net.server.sheds", s.shed_events),
+            ("net.server.tuples_shed", s.tuples_shed),
+            ("net.server.catch_ups", s.catch_ups_entered),
+            ("net.server.catch_ups_completed", s.catch_ups_completed),
+        ] {
+            assert_eq!(exported(name), field as f64, "{name}");
+        }
+        let c = client.stats();
+        assert!(c.bytes_sent > 0);
+        for (name, field) in [
+            ("net.client.tuples_out", c.tuples_queued),
+            ("net.client.bytes_sent", c.bytes_sent),
+            ("net.client.pumps_with_progress", c.pumps_with_progress),
+            ("net.client.tuples_in", c.tuples_received),
+            ("net.client.recv_errors", c.recv_errors),
+        ] {
+            assert_eq!(exported(name), field as f64, "{name}");
+        }
+    }
 
-        let c = ClientStats {
-            tuples_queued: 7,
-            bytes_sent: 123,
-            pumps_with_progress: 4,
-            ..ClientStats::default()
-        };
-        let tuples = c.to_tuples(now);
-        assert_eq!(tuples.len(), 5);
-        let sent = tuples
-            .iter()
-            .find(|t| t.name.as_deref() == Some("net.client.bytes_sent"))
-            .expect("exported");
-        assert_eq!(sent.value, 123.0);
+    #[test]
+    fn client_stats_are_the_registry_counts() {
+        // A bare socket plays the server: it feeds the client tuples
+        // and undecodable lines, then drops the connection so the
+        // client reconnects.
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = ScopeClient::connect(addr).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        for i in 0..5u64 {
+            client.send_at(TimeStamp::from_millis(i), "up", i as f64);
+        }
+        peer.write_all(b"0.001 1 down\n0.002 2 down\n\xff\xfe\nnot a tuple\n")
+            .unwrap();
+        spin_until(|| {
+            let _ = client.pump();
+            let s = client.stats();
+            s.tuples_received == 2 && s.recv_errors == 2
+        });
+        drop(peer);
+        spin_until(|| client.pump() == IoPoll::Remove);
+        client.reconnect().unwrap();
+        let _peer = listener.accept().unwrap();
+
+        let c = client.stats();
+        assert_eq!((c.tuples_queued, client.reconnects()), (5, 1));
+        assert!(c.bytes_sent > 0 && c.pumps_with_progress > 0, "{c:?}");
+        let reg = client.telemetry();
+        for (name, field) in [
+            ("net.client.tuples_out", c.tuples_queued),
+            ("net.client.bytes_sent", c.bytes_sent),
+            ("net.client.pumps_with_progress", c.pumps_with_progress),
+            ("net.client.tuples_in", c.tuples_received),
+            ("net.client.recv_errors", c.recv_errors),
+            ("net.client.reconnects", client.reconnects()),
+        ] {
+            match reg.get(name) {
+                Some(gtel::Metric::Counter(n)) => assert_eq!(n.get(), field, "{name}"),
+                other => panic!("{name} is not a registered counter: {other:?}"),
+            }
+        }
     }
 
     #[test]

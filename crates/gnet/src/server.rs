@@ -33,8 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use gel::{Continue, IoPoll, MainLoop, SourceId, TimeDelta, TimeStamp};
-use gscope::{StatsExport, Tuple};
+use gel::{Continue, IoPoll, MainLoop, SourceId, TimeDelta};
 use gstore::Store;
 use gtel::Registry;
 use parking_lot::Mutex;
@@ -45,7 +44,9 @@ pub use crate::shard::{ClientInfo, HubConfig};
 use crate::wire::StreamConn;
 use gscope::SharedScope;
 
-/// Counters describing server activity, aggregated across shards.
+/// Counters describing server activity, aggregated across shards: a
+/// snapshot of the hub's `net.server.*` registry counters (see
+/// [`ScopeServer::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted.
@@ -87,41 +88,6 @@ pub struct ServerStats {
     pub catch_ups_entered: u64,
     /// Catch-ups that finished and rejoined the live feed.
     pub catch_ups_completed: u64,
-}
-
-impl StatsExport for ServerStats {
-    fn to_tuples(&self, now: TimeStamp) -> Vec<Tuple> {
-        vec![
-            Tuple::new(now, self.connections as f64, "net.server.connections"),
-            Tuple::new(now, self.disconnects as f64, "net.server.disconnects"),
-            Tuple::new(now, self.tuples_received as f64, "net.server.tuples_in"),
-            Tuple::new(now, self.parse_errors as f64, "net.server.parse_errors"),
-            Tuple::new(
-                now,
-                self.protocol_errors as f64,
-                "net.server.protocol_errors",
-            ),
-            Tuple::new(now, self.tuples_dropped as f64, "net.server.tuples_dropped"),
-            Tuple::new(now, self.tuples_stored as f64, "net.server.tuples_stored"),
-            Tuple::new(now, self.store_drops as f64, "net.server.store_drops"),
-            Tuple::new(now, self.store_errors as f64, "net.server.store_errors"),
-            Tuple::new(
-                now,
-                self.catch_up_tuples as f64,
-                "net.server.catch_up_tuples",
-            ),
-            Tuple::new(now, self.tuples_out as f64, "net.server.tuples_out"),
-            Tuple::new(now, self.bytes_out as f64, "net.server.bytes_out"),
-            Tuple::new(now, self.shed_events as f64, "net.server.sheds"),
-            Tuple::new(now, self.tuples_shed as f64, "net.server.tuples_shed"),
-            Tuple::new(now, self.catch_ups_entered as f64, "net.server.catch_ups"),
-            Tuple::new(
-                now,
-                self.catch_ups_completed as f64,
-                "net.server.catch_ups_completed",
-            ),
-        ]
-    }
 }
 
 /// A sharded, non-blocking tuple-stream hub feeding one or more scopes
@@ -180,6 +146,8 @@ impl ScopeServer {
 
     /// Re-homes the server's metrics into `registry` (e.g. a registry
     /// shared with the scope and main loop for one combined snapshot).
+    /// Call before first use: [`ScopeServer::stats`] reads the current
+    /// registry, so counts made before the move stay behind.
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
         *self.shared.tel.write() = ServerTelemetry::new(registry);
     }
@@ -253,10 +221,6 @@ impl ScopeServer {
         if ok {
             self.shared.store_dirty.store(false, Ordering::Release);
         } else {
-            self.shared
-                .counters
-                .store_errors
-                .fetch_add(1, Ordering::Relaxed);
             self.shared.tel.read().store_errors.inc();
         }
         ok
@@ -278,26 +242,28 @@ impl ScopeServer {
         self.shared.auto_register.store(on, Ordering::Relaxed);
     }
 
-    /// Returns server statistics, aggregated across all shards.
+    /// Returns server statistics, aggregated across all shards and
+    /// read from the hub's registry — the one place they are counted.
+    /// Hubs that share a registry share these counts.
     pub fn stats(&self) -> ServerStats {
-        let c = &self.shared.counters;
+        let t = self.shared.tel.read();
         ServerStats {
-            connections: c.connections.load(Ordering::Relaxed),
-            disconnects: c.disconnects.load(Ordering::Relaxed),
-            tuples_received: c.tuples_received.load(Ordering::Relaxed),
-            parse_errors: c.parse_errors.load(Ordering::Relaxed),
-            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-            tuples_dropped: c.tuples_dropped.load(Ordering::Relaxed),
-            tuples_stored: c.tuples_stored.load(Ordering::Relaxed),
-            store_drops: c.store_drops.load(Ordering::Relaxed),
-            store_errors: c.store_errors.load(Ordering::Relaxed),
-            catch_up_tuples: c.catch_up_tuples.load(Ordering::Relaxed),
-            tuples_out: c.tuples_out.load(Ordering::Relaxed),
-            bytes_out: c.bytes_out.load(Ordering::Relaxed),
-            shed_events: c.shed_events.load(Ordering::Relaxed),
-            tuples_shed: c.tuples_shed.load(Ordering::Relaxed),
-            catch_ups_entered: c.catch_ups_entered.load(Ordering::Relaxed),
-            catch_ups_completed: c.catch_ups_completed.load(Ordering::Relaxed),
+            connections: t.connections.get(),
+            disconnects: t.disconnects.get(),
+            tuples_received: t.tuples_in.get(),
+            parse_errors: t.parse_errors.get(),
+            protocol_errors: t.protocol_errors.get(),
+            tuples_dropped: t.tuples_dropped.get(),
+            tuples_stored: t.tuples_stored.get(),
+            store_drops: t.store_drops.get(),
+            store_errors: t.store_errors.get(),
+            catch_up_tuples: t.catch_up.get(),
+            tuples_out: t.tuples_out.get(),
+            bytes_out: t.bytes_out.get(),
+            shed_events: t.sheds.get(),
+            tuples_shed: t.tuples_shed.get(),
+            catch_ups_entered: t.catch_ups.get(),
+            catch_ups_completed: t.catch_ups_completed.get(),
         }
     }
 

@@ -148,28 +148,8 @@ impl Rec {
     }
 }
 
-/// Global hub counters, updated by every shard.
-#[derive(Debug, Default)]
-pub(crate) struct HubCounters {
-    pub connections: AtomicU64,
-    pub disconnects: AtomicU64,
-    pub tuples_received: AtomicU64,
-    pub parse_errors: AtomicU64,
-    pub protocol_errors: AtomicU64,
-    pub tuples_dropped: AtomicU64,
-    pub tuples_stored: AtomicU64,
-    pub store_drops: AtomicU64,
-    pub store_errors: AtomicU64,
-    pub catch_up_tuples: AtomicU64,
-    pub tuples_out: AtomicU64,
-    pub bytes_out: AtomicU64,
-    pub shed_events: AtomicU64,
-    pub tuples_shed: AtomicU64,
-    pub catch_ups_entered: AtomicU64,
-    pub catch_ups_completed: AtomicU64,
-}
-
-/// Cached gtel handles for one hub.
+/// Cached gtel handles for one hub — the only place hub activity is
+/// counted; [`ServerStats`](crate::ServerStats) is a snapshot of them.
 #[derive(Debug)]
 pub(crate) struct ServerTelemetry {
     pub registry: Arc<Registry>,
@@ -206,6 +186,9 @@ pub(crate) struct ServerTelemetry {
     pub sheds: Arc<Counter>,
     /// `net.server.catch_ups` — shed → store-replay demotions.
     pub catch_ups: Arc<Counter>,
+    /// `net.server.catch_ups_completed` — catch-ups that rejoined the
+    /// live feed.
+    pub catch_ups_completed: Arc<Counter>,
     /// `net.server.tuples_shed` — tuples dropped by queue sheds.
     pub tuples_shed: Arc<Counter>,
     /// `net.server.sockopt_errors` — accepted sockets whose options
@@ -250,6 +233,7 @@ impl ServerTelemetry {
             bytes_out: registry.counter("net.server.bytes_out"),
             sheds: registry.counter("net.server.sheds"),
             catch_ups: registry.counter("net.server.catch_ups"),
+            catch_ups_completed: registry.counter("net.server.catch_ups_completed"),
             registry,
         }
     }
@@ -390,7 +374,6 @@ pub(crate) struct HubShared {
     pub client_count: AtomicUsize,
     /// Newest delivered tuple time (µs) — the live head.
     pub head_us: AtomicU64,
-    pub counters: HubCounters,
     pub tel: RwLock<ServerTelemetry>,
     /// All shards of this hub, set once at construction; lets any
     /// shard fan a batch into every inbox.
@@ -411,7 +394,6 @@ impl HubShared {
             subscriber_count: AtomicUsize::new(0),
             client_count: AtomicUsize::new(0),
             head_us: AtomicU64::new(0),
-            counters: HubCounters::default(),
             tel: RwLock::new(ServerTelemetry::default()),
             shards: OnceLock::new(),
             next_shard: AtomicUsize::new(0),
@@ -437,7 +419,6 @@ impl HubShared {
         match guard.as_mut().map(Store::flush) {
             None | Some(Ok(())) => true,
             Some(Err(_)) => {
-                self.counters.store_errors.fetch_add(1, Ordering::Relaxed);
                 self.tel.read().store_errors.inc();
                 false
             }
@@ -1025,10 +1006,6 @@ pub(crate) fn cycle(shard: &Shard, shared: &HubShared, wait_ms: i32) -> bool {
     }
     core.next_timer_us = next_timer_us;
     if flushed > 0 {
-        shared
-            .counters
-            .bytes_out
-            .fetch_add(flushed, Ordering::Relaxed);
         shared.tel.read().bytes_out.add(flushed);
     }
 
@@ -1135,7 +1112,6 @@ impl ShardCore {
             self.unpolled += 1;
         }
         self.tokens.insert(token, idx);
-        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
         shared.client_count.fetch_add(1, Ordering::Relaxed);
         shared.tel.read().connections.inc();
     }
@@ -1162,7 +1138,6 @@ impl ShardCore {
             if c.subscribed {
                 shared.subscriber_count.fetch_sub(1, Ordering::Relaxed);
             }
-            shared.counters.disconnects.fetch_add(1, Ordering::Relaxed);
             shared.client_count.fetch_sub(1, Ordering::Relaxed);
             shared.tel.read().disconnects.inc();
         }
@@ -1293,10 +1268,6 @@ fn parse_buffer(
 
 fn count_protocol_error(c: &mut ClientState, shared: &HubShared) {
     c.info.protocol_errors += 1;
-    shared
-        .counters
-        .protocol_errors
-        .fetch_add(1, Ordering::Relaxed);
     shared.tel.read().protocol_errors.inc();
 }
 
@@ -1316,7 +1287,6 @@ fn handle_line(
 ) {
     let Ok(text) = std::str::from_utf8(line) else {
         c.info.parse_errors += 1;
-        shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
         shared.tel.read().parse_errors.inc();
         return;
     };
@@ -1343,7 +1313,6 @@ fn handle_line(
         }
         Err(_) => {
             c.info.parse_errors += 1;
-            shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
             shared.tel.read().parse_errors.inc();
         }
     }
@@ -1525,22 +1494,6 @@ fn deliver_batch(core: &mut ShardCore, shared: &HubShared) {
         drop(guard);
         if stored > 0 {
             shared.store_dirty.store(true, Ordering::Release);
-            shared
-                .counters
-                .tuples_stored
-                .fetch_add(stored, Ordering::Relaxed);
-        }
-        if drops > 0 {
-            shared
-                .counters
-                .store_drops
-                .fetch_add(drops, Ordering::Relaxed);
-        }
-        if errors > 0 {
-            shared
-                .counters
-                .store_errors
-                .fetch_add(errors, Ordering::Relaxed);
         }
         let tel = shared.tel.read();
         tel.tuples_stored.add(stored);
@@ -1588,16 +1541,6 @@ fn deliver_batch(core: &mut ShardCore, shared: &HubShared) {
     // Advance the live head.
     let max_us = batch.iter().map(|r| r.time_us).max().unwrap_or(0);
     shared.head_us.fetch_max(max_us, Ordering::AcqRel);
-    shared
-        .counters
-        .tuples_received
-        .fetch_add(n, Ordering::Relaxed);
-    if dropped > 0 {
-        shared
-            .counters
-            .tuples_dropped
-            .fetch_add(dropped, Ordering::Relaxed);
-    }
     let tel = shared.tel.read();
     tel.tuples_in.add(n);
     tel.tuples_dropped.add(dropped);
@@ -1726,10 +1669,6 @@ fn fan_out(core: &mut ShardCore, shared: &HubShared) {
         queued_total += ntuples;
     }
     if queued_total > 0 {
-        shared
-            .counters
-            .tuples_out
-            .fetch_add(queued_total, Ordering::Relaxed);
         shared.tel.read().tuples_out.add(queued_total);
     }
     batch.clear();
@@ -1740,7 +1679,6 @@ fn fan_out(core: &mut ShardCore, shared: &HubShared) {
 fn overflow(c: &mut ClientState, batch_first_us: u64, shared: &HubShared) {
     let (dropped_from, dropped_frames, dropped_tuples) = c.out.shed();
     c.info.shed_events += 1;
-    shared.counters.shed_events.fetch_add(1, Ordering::Relaxed);
     shared.tel.read().sheds.inc();
     count_shed_tuples(c, dropped_tuples, shared);
     gtel::instant("net.server.shed", dropped_frames as f64);
@@ -1749,10 +1687,6 @@ fn overflow(c: &mut ClientState, batch_first_us: u64, shared: &HubShared) {
     }
     let from_us = dropped_from.unwrap_or(batch_first_us);
     c.info.catch_ups += 1;
-    shared
-        .counters
-        .catch_ups_entered
-        .fetch_add(1, Ordering::Relaxed);
     shared.tel.read().catch_ups.inc();
     gtel::instant("net.server.catchup_begin", from_us as f64);
     queue_marker(c, OP_CATCHUP_BEGIN, from_us);
@@ -1767,7 +1701,6 @@ fn overflow(c: &mut ClientState, batch_first_us: u64, shared: &HubShared) {
 /// hub's `tuples_shed`.
 fn count_shed_tuples(c: &mut ClientState, n: u64, shared: &HubShared) {
     c.info.tuples_shed += n;
-    shared.counters.tuples_shed.fetch_add(n, Ordering::Relaxed);
     shared.tel.read().tuples_shed.add(n);
 }
 
@@ -1832,7 +1765,6 @@ fn pump_catch_up(core: &mut ShardCore, idx: usize, shared: &HubShared) -> bool {
         }) {
             Ok(r) => cu.reader = Some(r),
             Err(_) => {
-                shared.counters.store_errors.fetch_add(1, Ordering::Relaxed);
                 shared.tel.read().store_errors.inc();
                 complete_catch_up(c, shared);
                 return true;
@@ -1888,7 +1820,6 @@ fn pump_catch_up(core: &mut ShardCore, idx: usize, shared: &HubShared) -> bool {
                         break;
                     }
                     Err(_) => {
-                        shared.counters.store_errors.fetch_add(1, Ordering::Relaxed);
                         shared.tel.read().store_errors.inc();
                         done = true;
                         break;
@@ -1896,7 +1827,6 @@ fn pump_catch_up(core: &mut ShardCore, idx: usize, shared: &HubShared) -> bool {
                 }
             }
             Err(_) => {
-                shared.counters.store_errors.fetch_add(1, Ordering::Relaxed);
                 shared.tel.read().store_errors.inc();
                 done = true;
                 break;
@@ -1916,14 +1846,6 @@ fn pump_catch_up(core: &mut ShardCore, idx: usize, shared: &HubShared) -> bool {
     }
     if replayed > 0 {
         c.info.tuples_out += replayed;
-        shared
-            .counters
-            .catch_up_tuples
-            .fetch_add(replayed, Ordering::Relaxed);
-        shared
-            .counters
-            .tuples_out
-            .fetch_add(replayed, Ordering::Relaxed);
         let tel = shared.tel.read();
         tel.catch_up.add(replayed);
         tel.tuples_out.add(replayed);
@@ -1943,10 +1865,7 @@ fn complete_catch_up(c: &mut ClientState, shared: &HubShared) {
     queue_marker(c, OP_CATCHUP_END, boundary);
     c.boundary_us = boundary;
     c.mode = Mode::Live;
-    shared
-        .counters
-        .catch_ups_completed
-        .fetch_add(1, Ordering::Relaxed);
+    shared.tel.read().catch_ups_completed.inc();
     gtel::instant("net.server.catchup_end", boundary as f64);
 }
 
@@ -1974,7 +1893,6 @@ pub(crate) fn catch_up_scopes(shared: &HubShared, window: TimeDelta) -> u64 {
             return 0;
         };
         if store.flush().is_err() {
-            shared.counters.store_errors.fetch_add(1, Ordering::Relaxed);
             shared.tel.read().store_errors.inc();
             return 0;
         }
@@ -1993,7 +1911,6 @@ pub(crate) fn catch_up_scopes(shared: &HubShared, window: TimeDelta) -> u64 {
     ) {
         Ok(s) => s,
         Err(_) => {
-            shared.counters.store_errors.fetch_add(1, Ordering::Relaxed);
             shared.tel.read().store_errors.inc();
             return 0;
         }
@@ -2011,7 +1928,6 @@ pub(crate) fn catch_up_scopes(shared: &HubShared, window: TimeDelta) -> u64 {
         }) {
             Ok(r) => r,
             Err(_) => {
-                shared.counters.store_errors.fetch_add(1, Ordering::Relaxed);
                 shared.tel.read().store_errors.inc();
                 continue;
             }
@@ -2031,7 +1947,6 @@ pub(crate) fn catch_up_scopes(shared: &HubShared, window: TimeDelta) -> u64 {
                 }
                 Ok(None) => true,
                 Err(_) => {
-                    shared.counters.store_errors.fetch_add(1, Ordering::Relaxed);
                     shared.tel.read().store_errors.inc();
                     true
                 }
@@ -2044,10 +1959,6 @@ pub(crate) fn catch_up_scopes(shared: &HubShared, window: TimeDelta) -> u64 {
             }
         }
     }
-    shared
-        .counters
-        .catch_up_tuples
-        .fetch_add(replayed, Ordering::Relaxed);
     shared.tel.read().catch_up.add(replayed);
     replayed
 }
@@ -2153,9 +2064,7 @@ mod tests {
             text.push(b'\n');
         }
         prod.write_all(&text).unwrap();
-        wait_until("ingest", || {
-            shared.counters.tuples_received.load(Ordering::Acquire) == TUPLES
-        });
+        wait_until("ingest", || shared.tel.read().tuples_in.get() == TUPLES);
         let queued = sh
             .client_stats()
             .iter()
@@ -2176,6 +2085,6 @@ mod tests {
         sh.wake();
         shard_loop.join().unwrap();
         assert!(queued > 0, "the test must leave output queued");
-        assert_eq!(shared.counters.tuples_shed.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.tel.read().tuples_shed.get(), 0);
     }
 }

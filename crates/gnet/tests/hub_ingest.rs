@@ -293,3 +293,74 @@ fn batch_shed_on_arrival_is_counted() {
     };
     assert!(counted >= s.tuples_shed, "gtel counts the same sheds");
 }
+
+/// Reads counter `name` without creating it: a missing name fails.
+fn registry_count(reg: &gtel::Registry, name: &str) -> u64 {
+    match reg.get(name) {
+        Some(gtel::Metric::Counter(c)) => c.get(),
+        other => panic!("{name} is not a registered counter: {other:?}"),
+    }
+}
+
+#[test]
+fn server_stats_are_the_registry_counts() {
+    // Ingest with late drops, parse and protocol errors, a store tee,
+    // and a slow subscriber that is shed into store catch-up and
+    // rejoins: every field of the typed snapshot must read the
+    // registry's count under its `net.server.*` name.
+    let dir = std::env::temp_dir().join(format!("gnet-hub-single-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut server = one_shard(256);
+    server.set_store(gstore::Store::open(&dir, gstore::StoreConfig::default()).unwrap());
+    let (scope, _clock) = scope_at_one_second();
+    server.add_scope(Arc::clone(&scope));
+    let sub = MemConn::new(0);
+    sub.feed(b"!sub\n");
+    server.add_conn(Box::new(sub.clone()));
+    let producer = MemConn::new(usize::MAX);
+    server.add_conn(Box::new(producer.clone()));
+    server.poll();
+
+    producer.feed(b"garbage\n!bogus\n");
+    producer.feed_tuples(&[tuple_at(10, 1.0, "late")]);
+    for round in 0..20u64 {
+        let batch: Vec<Tuple> = (0..8)
+            .map(|i| tuple_at(10_000 + round * 8 + i, i as f64, "flood"))
+            .collect();
+        producer.feed_tuples(&batch);
+        server.poll();
+    }
+    sub.set_write_budget(usize::MAX);
+    for _ in 0..200 {
+        server.poll();
+    }
+
+    let s = server.stats();
+    assert!(s.shed_events > 0 && s.catch_ups_entered > 0, "{s:?}");
+    assert!(s.catch_ups_completed > 0, "the subscriber rejoined: {s:?}");
+    assert!(s.parse_errors > 0 && s.protocol_errors > 0, "{s:?}");
+    assert!(s.tuples_dropped > 0 && s.tuples_stored > 0, "{s:?}");
+    let reg = server.telemetry();
+    for (name, field) in [
+        ("net.server.connections", s.connections),
+        ("net.server.disconnects", s.disconnects),
+        ("net.server.tuples_in", s.tuples_received),
+        ("net.server.parse_errors", s.parse_errors),
+        ("net.server.protocol_errors", s.protocol_errors),
+        ("net.server.tuples_dropped", s.tuples_dropped),
+        ("net.server.tuples_stored", s.tuples_stored),
+        ("net.server.store_drops", s.store_drops),
+        ("net.server.store_errors", s.store_errors),
+        ("net.server.catch_up_tuples", s.catch_up_tuples),
+        ("net.server.tuples_out", s.tuples_out),
+        ("net.server.bytes_out", s.bytes_out),
+        ("net.server.sheds", s.shed_events),
+        ("net.server.tuples_shed", s.tuples_shed),
+        ("net.server.catch_ups", s.catch_ups_entered),
+        ("net.server.catch_ups_completed", s.catch_ups_completed),
+    ] {
+        assert_eq!(registry_count(&reg, name), field, "{name}");
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}

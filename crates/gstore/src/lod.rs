@@ -600,6 +600,7 @@ impl Compactor {
                     Err(e) if e.kind() != std::io::ErrorKind::NotFound => self.tel.errors.inc(),
                     _ => {}
                 }
+                forget_cached(&seg.path);
                 total = total.saturating_sub(seg.bytes);
                 evicted += 1;
             }
@@ -789,6 +790,16 @@ const INDEX_CACHE_CAP: usize = 4096;
 fn index_cache() -> &'static Mutex<HashMap<PathBuf, CachedIndex>> {
     static CACHE: OnceLock<Mutex<HashMap<PathBuf, CachedIndex>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// Drops a deleted segment from both process-wide caches, so neither
+/// keeps its size or parsed sidecar until the wholesale clear.
+pub(crate) fn forget_cached(seg: &Path) {
+    seg_bytes_cache()
+        .lock()
+        .expect("size cache lock")
+        .remove(seg);
+    index_cache().lock().expect("index cache lock").remove(seg);
 }
 
 /// Parsed sidecar for one segment, answered from the process-wide
@@ -1551,6 +1562,95 @@ mod tests {
         assert_eq!(retry_wait(ms(500), u32::MAX), MAX_RETRY_WAIT);
         let long = Duration::from_secs(60);
         assert_eq!(retry_wait(long, 5), long, "a long interval is its own cap");
+    }
+
+    /// Whether the size cache and the index cache hold `path`.
+    fn cached(path: &Path) -> (bool, bool) {
+        (
+            seg_bytes_cache().lock().unwrap().contains_key(path),
+            index_cache().lock().unwrap().contains_key(path),
+        )
+    }
+
+    fn append_from(store: &mut Store, first: u64, n: u64) {
+        for i in first..first + n {
+            store
+                .append(TimeStamp::from_micros(i * 1_000), i as f64, Some("wave"))
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn retention_leaves_no_cache_entries() {
+        let dir = tmp_dir("forget");
+        let cfg = StoreConfig {
+            retain_bytes: Some(4096),
+            ..small_cfg()
+        };
+        let mut store = Store::open(&dir, cfg).unwrap();
+        let mut next = 0u64;
+        while store.sealed_segments().is_empty() {
+            append_from(&mut store, next, 16);
+            next += 16;
+        }
+        // One more frame opens the next segment, so the sealed one is
+        // no longer the growable head and both caches keep it.
+        append_from(&mut store, next, 1);
+        next += 1;
+        let oldest = store.sealed_segments()[0].path.clone();
+        store
+            .query(
+                Some("wave"),
+                TimeStamp::ZERO,
+                TimeStamp::from_micros(next * 1_000),
+                64,
+            )
+            .unwrap();
+        assert_eq!(
+            cached(&oldest),
+            (true, true),
+            "the query cached the segment"
+        );
+        while oldest.exists() {
+            append_from(&mut store, next, 16);
+            next += 16;
+        }
+        assert!(store.stats().segments_evicted > 0);
+        assert_eq!(
+            cached(&oldest),
+            (false, false),
+            "retention deleted {oldest:?}"
+        );
+        assert_eq!(store.telemetry().errors.get(), 0);
+    }
+
+    #[test]
+    fn evict_folded_leaves_no_cache_entries() {
+        let dir = tmp_dir("forget-folded");
+        fill(&dir, 8_000);
+        Compactor::new(&dir, lod_cfg()).unwrap().pass().unwrap();
+        query_at(
+            &dir,
+            Some("wave"),
+            TimeStamp::ZERO,
+            TimeStamp::from_micros(8_000_000),
+            64,
+            Some(0),
+        )
+        .unwrap();
+        let tier0: Vec<PathBuf> = tier_map(&dir, true).unwrap()[&0]
+            .iter()
+            .map(|s| s.path.clone())
+            .filter(|p| cached(p) == (true, true))
+            .collect();
+        assert!(!tier0.is_empty(), "the query cached tier-0 segments");
+        let mut cfg = lod_cfg();
+        cfg.evict_folded = Some(4096);
+        let report = Compactor::new(&dir, cfg).unwrap().pass().unwrap();
+        assert!(report.segments_evicted > 0, "{report:?}");
+        for path in tier0.iter().filter(|p| !p.exists()) {
+            assert_eq!(cached(path), (false, false), "evicted {path:?}");
+        }
     }
 
     #[test]

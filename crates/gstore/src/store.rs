@@ -95,7 +95,8 @@ pub struct SegmentInfo {
     pub frames: u64,
 }
 
-/// Running totals for one [`Store`], mirrored into gtel.
+/// Running totals for one [`Store`]: a snapshot of its `store.*`
+/// registry counters (see [`Store::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Frames accepted by [`Store::append`].
@@ -118,22 +119,37 @@ pub struct StoreStats {
     pub segments_evicted: u64,
 }
 
-/// Cached gtel handles for one [`Store`].
+/// Cached gtel handles for one [`Store`] — the only place its
+/// activity is counted.
 #[derive(Debug)]
 pub struct StoreTelemetry {
     registry: Arc<Registry>,
-    /// `store.frames` — frames appended.
+    /// `store.frames` — frames appended, published when their block
+    /// is written (the open block's frames are not included yet).
     pub frames: Arc<Counter>,
     /// `store.bytes` — bytes written to segment files.
     pub bytes: Arc<Counter>,
+    /// `store.blocks` — blocks flushed to disk.
+    pub blocks: Arc<Counter>,
     /// `store.segments.rolled` — segments sealed and rolled.
     pub segments_rolled: Arc<Counter>,
+    /// `store.segments.evicted` — tier-0 segments evicted by retention.
+    pub segments_evicted: Arc<Counter>,
     /// `store.segments.live` — sealed tier-0 segments on disk.
     pub segments_live: Arc<Gauge>,
     /// `store.recovery.truncations` — torn/corrupt tails cut on open.
     pub recovery_truncations: Arc<Counter>,
+    /// `store.recovery.salvaged_frames` — frames salvaged out of torn
+    /// tail blocks on open.
+    pub salvaged_frames: Arc<Counter>,
+    /// `store.recovery.dropped_blocks` — complete blocks dropped for
+    /// CRC mismatch on open.
+    pub dropped_blocks: Arc<Counter>,
     /// `store.compaction.runs` — retention passes that downsampled.
     pub compaction_runs: Arc<Counter>,
+    /// `store.errors` — index sidecars of deleted segments that could
+    /// not be deleted.
+    pub errors: Arc<Counter>,
 }
 
 impl StoreTelemetry {
@@ -142,10 +158,15 @@ impl StoreTelemetry {
         StoreTelemetry {
             frames: registry.counter("store.frames"),
             bytes: registry.counter("store.bytes"),
+            blocks: registry.counter("store.blocks"),
             segments_rolled: registry.counter("store.segments.rolled"),
+            segments_evicted: registry.counter("store.segments.evicted"),
             segments_live: registry.gauge("store.segments.live"),
             recovery_truncations: registry.counter("store.recovery.truncations"),
+            salvaged_frames: registry.counter("store.recovery.salvaged_frames"),
+            dropped_blocks: registry.counter("store.recovery.dropped_blocks"),
             compaction_runs: registry.counter("store.compaction.runs"),
+            errors: registry.counter("store.errors"),
             registry,
         }
     }
@@ -153,6 +174,21 @@ impl StoreTelemetry {
     /// The registry the handles live in.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
+    }
+
+    fn counters(&self) -> [&Arc<Counter>; 10] {
+        [
+            &self.frames,
+            &self.bytes,
+            &self.blocks,
+            &self.segments_rolled,
+            &self.segments_evicted,
+            &self.recovery_truncations,
+            &self.salvaged_frames,
+            &self.dropped_blocks,
+            &self.compaction_runs,
+            &self.errors,
+        ]
     }
 }
 
@@ -248,10 +284,6 @@ pub struct Store {
     active_first_us: Option<u64>,
     /// Frames in the active segment.
     active_frames: u64,
-    /// Frames already published to the telemetry counter (telemetry is
-    /// batched to block boundaries; see `publish_frames`).
-    frames_reported: u64,
-    stats: StoreStats,
     telemetry: StoreTelemetry,
 }
 
@@ -291,8 +323,6 @@ impl Store {
             last_us: None,
             active_first_us: None,
             active_frames: 0,
-            frames_reported: 0,
-            stats: StoreStats::default(),
             telemetry: StoreTelemetry::default(),
         };
         // Newest tier-0 segment is the append point: recover + resume
@@ -310,14 +340,16 @@ impl Store {
         if let Some(active) = active {
             let rec = recover_segment(&active.path).map_err(ScopeError::Io)?;
             if rec.truncated {
-                store.stats.recovery_truncations += 1;
-                store.stats.dropped_blocks += u64::from(rec.dropped_blocks);
                 store.telemetry.recovery_truncations.inc();
+                store
+                    .telemetry
+                    .dropped_blocks
+                    .add(u64::from(rec.dropped_blocks));
             }
             if rec.valid_len == 0 {
                 // Not even the header survived; start the file over.
                 std::fs::remove_file(&active.path).map_err(ScopeError::Io)?;
-                let _ = std::fs::remove_file(crate::index::index_path(&active.path));
+                store.forget_segment(&active.path);
                 store.next_seq = store.next_seq.max(active.seq);
             } else {
                 let mut w =
@@ -330,13 +362,24 @@ impl Store {
                     .last_us
                     .max(rec.last_us)
                     .max(rec.salvaged.last().map(|f| f.time_us));
-                store.stats.salvaged_frames += rec.salvaged.len() as u64;
+                store
+                    .telemetry
+                    .salvaged_frames
+                    .add(rec.salvaged.len() as u64);
                 for f in &rec.salvaged {
                     if store.active_first_us.is_none() {
                         store.active_first_us = Some(f.time_us);
                     }
                     w.append(f.time_us, f.value, f.name.as_deref());
                     store.active_frames += 1;
+                }
+                // Salvaged frames go straight back to disk in their own
+                // block: they were never appended, and `store.frames`
+                // counts the open block's frames when it is written.
+                let written = w.flush_block().map_err(ScopeError::Io)?;
+                if written > 0 {
+                    store.telemetry.bytes.add(written);
+                    store.telemetry.blocks.inc();
                 }
                 store.writer = Some(w);
             }
@@ -350,11 +393,31 @@ impl Store {
         &self.dir
     }
 
-    /// Running totals (frames, bytes, rolls, recoveries, compactions).
-    /// `bytes_written` counts flushed bytes; the open block is not
-    /// included until it flushes.
+    /// Running totals (frames, bytes, rolls, recoveries, compactions),
+    /// read from the store's registry — the one place they are
+    /// counted (stores that share a registry share these counts).
+    /// `frames_appended` adds the open block's frames to `store.frames`;
+    /// `bytes_written` counts flushed bytes only.
     pub fn stats(&self) -> StoreStats {
-        self.stats
+        let t = &self.telemetry;
+        StoreStats {
+            frames_appended: self.frames_appended(),
+            bytes_written: t.bytes.get(),
+            blocks_flushed: t.blocks.get(),
+            segments_rolled: t.segments_rolled.get(),
+            recovery_truncations: t.recovery_truncations.get(),
+            salvaged_frames: t.salvaged_frames.get(),
+            dropped_blocks: t.dropped_blocks.get(),
+            compaction_runs: t.compaction_runs.get(),
+            segments_evicted: t.segments_evicted.get(),
+        }
+    }
+
+    /// Frames accepted by [`Store::append`]: those in written blocks
+    /// plus the open block's.
+    fn frames_appended(&self) -> u64 {
+        let open = self.writer.as_ref().map_or(0, SegmentWriter::block_frames);
+        self.telemetry.frames.get() + u64::from(open)
     }
 
     /// Cached telemetry handles.
@@ -362,9 +425,14 @@ impl Store {
         &self.telemetry
     }
 
-    /// Re-homes the store's metrics in `registry`.
+    /// Re-homes the store's metrics in `registry`, carrying over what
+    /// was counted so far (opening a store already counts its
+    /// recovery).
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
-        self.telemetry = StoreTelemetry::new(registry);
+        let old = std::mem::replace(&mut self.telemetry, StoreTelemetry::new(registry));
+        for (new, old) in self.telemetry.counters().into_iter().zip(old.counters()) {
+            new.add(old.get());
+        }
         self.telemetry.segments_live.set_count(self.sealed.len());
     }
 
@@ -392,7 +460,7 @@ impl Store {
         if let Some(last) = self.last_us {
             if time_us < last {
                 return Err(ScopeError::TupleOrder {
-                    line: (self.stats.frames_appended + 1) as usize,
+                    line: (self.frames_appended() + 1) as usize,
                     previous_ms: last as f64 / 1_000.0,
                     found_ms: time_us as f64 / 1_000.0,
                 });
@@ -410,9 +478,9 @@ impl Store {
         w.append(time_us, value, name);
         self.active_frames += 1;
         self.last_us = Some(time_us);
-        self.stats.frames_appended += 1;
-        // Telemetry counters are atomics; publish at block granularity
-        // (see `flush_block`) to keep the append path free of them.
+        // Telemetry counters are atomics; frames are published at block
+        // granularity (see `flush_block`) to keep the append path free
+        // of them.
         if w.block_payload_len() >= self.cfg.block_bytes
             || w.block_frames() >= self.cfg.block_frames
         {
@@ -446,32 +514,21 @@ impl Store {
             return Ok(());
         };
         let begin_ns = gtel::fast_now_ns();
+        let frames = w.block_frames();
         let written = w.flush_block().map_err(ScopeError::Io)?;
         let pending = w.pending_bytes();
         if written > 0 {
-            self.stats.bytes_written += written;
-            self.stats.blocks_flushed += 1;
+            self.telemetry.frames.add(u64::from(frames));
             self.telemetry.bytes.add(written);
+            self.telemetry.blocks.inc();
             // Span only for blocks that hit the file; empty flushes
             // are no-ops and would pollute the ring.
             gtel::complete_span("store.block", written, begin_ns);
         }
-        self.publish_frames();
         if pending >= self.cfg.segment_bytes {
             self.roll_segment()?;
         }
         Ok(())
-    }
-
-    /// Publishes appended-frame telemetry since the last publish. The
-    /// counter is an atomic, so the append hot path defers it to block
-    /// boundaries (the gauge-accurate source is [`Store::stats`]).
-    fn publish_frames(&mut self) {
-        let n = self.stats.frames_appended - self.frames_reported;
-        if n > 0 {
-            self.telemetry.frames.add(n);
-            self.frames_reported = self.stats.frames_appended;
-        }
     }
 
     /// Seals the active segment and starts a new one, then applies the
@@ -488,13 +545,12 @@ impl Store {
         };
         let path = w.path().to_path_buf();
         let pending = pending_block_bytes(&w);
+        self.telemetry.frames.add(u64::from(w.block_frames()));
         let bytes = w.seal().map_err(ScopeError::Io)?;
-        self.stats.bytes_written += pending;
-        if pending > 0 {
-            self.stats.blocks_flushed += 1;
-        }
         self.telemetry.bytes.add(pending);
-        self.publish_frames();
+        if pending > 0 {
+            self.telemetry.blocks.inc();
+        }
         let seq = parse_segment_file_name(path.file_name().and_then(|n| n.to_str()).unwrap_or(""))
             .map(|(s, _)| s)
             .unwrap_or(self.next_seq.saturating_sub(1));
@@ -509,7 +565,6 @@ impl Store {
         });
         self.active_first_us = None;
         self.active_frames = 0;
-        self.stats.segments_rolled += 1;
         self.telemetry.segments_rolled.inc();
         self.telemetry.segments_live.set_count(self.sealed.len());
         self.enforce_retention()
@@ -557,12 +612,10 @@ impl Store {
                 report.buckets_written += buckets;
             }
             std::fs::remove_file(&victim.path).map_err(ScopeError::Io)?;
-            // The index sidecar goes with its segment.
-            let _ = std::fs::remove_file(crate::index::index_path(&victim.path));
-            self.stats.segments_evicted += 1;
+            self.forget_segment(&victim.path);
+            self.telemetry.segments_evicted.inc();
         }
         if report.evicted > 0 {
-            self.stats.compaction_runs += 1;
             self.telemetry.compaction_runs.inc();
             self.telemetry.segments_live.set_count(self.sealed.len());
             if let Some(t1) = self.tier1.as_mut() {
@@ -570,6 +623,17 @@ impl Store {
             }
         }
         Ok(report)
+    }
+
+    /// Follows a deleted segment: its index sidecar is deleted too (a
+    /// failure other than `NotFound` counts in `store.errors`) and the
+    /// process-wide lod caches forget the path.
+    fn forget_segment(&self, seg: &Path) {
+        match std::fs::remove_file(crate::index::index_path(seg)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => self.telemetry.errors.inc(),
+            _ => {}
+        }
+        crate::lod::forget_cached(seg);
     }
 
     /// Downsamples one tier-0 segment into the tier-1 log: per
@@ -664,17 +728,16 @@ impl Store {
     /// [`ScopeError::Io`] on seal failure.
     pub fn close(mut self) -> Result<StoreStats> {
         self.close_inner()?;
-        Ok(self.stats)
+        Ok(self.stats())
     }
 
     fn close_inner(&mut self) -> Result<()> {
         if let Some(w) = self.writer.take() {
             let pending = pending_block_bytes(&w);
+            self.telemetry.frames.add(u64::from(w.block_frames()));
             w.seal().map_err(ScopeError::Io)?;
-            self.stats.bytes_written += pending;
             self.telemetry.bytes.add(pending);
         }
-        self.publish_frames();
         if let Some(t1) = self.tier1.take() {
             t1.seal().map_err(ScopeError::Io)?;
         }
@@ -707,7 +770,7 @@ impl TupleSink for Store {
     }
 
     fn bytes_written(&self) -> u64 {
-        self.stats.bytes_written
+        self.telemetry.bytes.get()
     }
 }
 
@@ -851,6 +914,97 @@ mod tests {
         // At most one frame lost: 40 appended, ≥39 survive.
         let survived = store.last_time().unwrap().as_micros();
         assert!(survived >= 38_000, "survived to {survived}");
+    }
+
+    #[test]
+    fn store_stats_are_the_registry_counts() {
+        // A torn tail (recovery), then rolls and retention under a
+        // shared registry adopted after open.
+        let dir = tmp_dir("single");
+        {
+            let mut store = Store::open(&dir, small_cfg()).unwrap();
+            for i in 0..40u64 {
+                store
+                    .append(TimeStamp::from_micros(i * 1_000), i as f64, Some("a"))
+                    .unwrap();
+            }
+            store.flush().unwrap();
+            std::mem::forget(store);
+        }
+        let active = catalog_segments(&dir).unwrap().pop().unwrap();
+        let len = std::fs::metadata(&active.path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&active.path)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let cfg = StoreConfig {
+            retain_bytes: Some(4096),
+            ..small_cfg()
+        };
+        let mut store = Store::open(&dir, cfg).unwrap();
+        let registry = Registry::shared();
+        store.set_telemetry(Arc::clone(&registry));
+        for i in 40..2_000u64 {
+            store
+                .append(TimeStamp::from_micros(i * 1_000), i as f64, Some("a"))
+                .unwrap();
+        }
+        store.flush().unwrap();
+
+        let s = store.stats();
+        assert_eq!(s.frames_appended, 1_960);
+        assert_eq!((s.recovery_truncations, s.dropped_blocks), (1, 0));
+        assert!(s.salvaged_frames > 0 && s.blocks_flushed > 0, "{s:?}");
+        assert!(s.segments_evicted > 0 && s.compaction_runs > 0, "{s:?}");
+        for (name, field) in [
+            ("store.frames", s.frames_appended),
+            ("store.bytes", s.bytes_written),
+            ("store.blocks", s.blocks_flushed),
+            ("store.segments.rolled", s.segments_rolled),
+            ("store.recovery.truncations", s.recovery_truncations),
+            ("store.recovery.salvaged_frames", s.salvaged_frames),
+            ("store.recovery.dropped_blocks", s.dropped_blocks),
+            ("store.compaction.runs", s.compaction_runs),
+            ("store.segments.evicted", s.segments_evicted),
+        ] {
+            match registry.get(name) {
+                Some(gtel::Metric::Counter(c)) => assert_eq!(c.get(), field, "{name}"),
+                other => panic!("{name} is not a registered counter: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn failed_sidecar_delete_is_counted() {
+        // A directory where the sidecar should be cannot be unlinked
+        // (root ignores mode bits, so permissions cannot force this).
+        let dir = tmp_dir("sidecar-error");
+        let cfg = StoreConfig {
+            retain_bytes: Some(4096),
+            ..small_cfg()
+        };
+        let mut store = Store::open(&dir, cfg).unwrap();
+        let mut i = 0u64;
+        let mut append = |store: &mut Store| {
+            store
+                .append(TimeStamp::from_micros(i * 1_000), i as f64, Some("a"))
+                .unwrap();
+            i += 1;
+        };
+        while store.sealed_segments().is_empty() {
+            append(&mut store);
+        }
+        let oldest = store.sealed_segments()[0].path.clone();
+        let sidecar = crate::index::index_path(&oldest);
+        std::fs::remove_file(&sidecar).unwrap();
+        std::fs::create_dir(&sidecar).unwrap();
+        while oldest.exists() {
+            append(&mut store);
+        }
+        assert_eq!(store.telemetry().errors.get(), 1);
+        let _ = std::fs::remove_dir(&sidecar);
     }
 
     #[test]

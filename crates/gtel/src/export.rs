@@ -129,9 +129,9 @@ fn json_escape(s: &str, out: &mut String) {
 
 /// Emits the snapshot as one JSON object for scripting and CI
 /// assertions (`gtool stats --json`). Every metric shares the single
-/// `t_ms` timestamp captured by the caller — unlike per-struct
-/// `to_tuples` calls, nothing in the document can carry a skewed
-/// clock reading. Histograms keep nanosecond integer fields.
+/// `t_ms` timestamp captured by the caller, so nothing in the document
+/// can carry a skewed clock reading. Histograms keep nanosecond
+/// integer fields.
 pub fn json_stats(snapshot: &Snapshot, now_ms: f64) -> String {
     let mut out = String::with_capacity(snapshot.len() * 64 + 64);
     let _ = write!(out, "{{\"t_ms\":{now_ms:.3},\"stats\":{{");

@@ -51,5 +51,5 @@ pub use registry::{global, global_shared, Metric, MetricValue, Registry, Snapsho
 pub use span::{fast_now_ns, monotonic_ns, SpanKind, SpanRecord, TraceCtx, MAX_SPAN_DEPTH};
 pub use trace::{
     complete_span, instant, set_thread_tracer, span, tracer, with_thread_tracer, SpanGuard,
-    ThreadTracerGuard, TraceEvent, TraceLog,
+    ThreadTracerGuard, TraceLog,
 };

@@ -104,6 +104,22 @@ impl Registry {
         }
     }
 
+    /// Registers an existing counter under `name`, for a component
+    /// that must own its counter before it knows its registry (a
+    /// buffer shared with producer threads). Any counter already
+    /// under `name` is replaced: the name reads the new handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different kind.
+    pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {
+        let mut map = self.metrics.write().expect("registry lock");
+        if let Some(other @ (Metric::Gauge(_) | Metric::Histogram(_))) = map.get(name) {
+            panic!("metric {name:?} is not a counter: {other:?}");
+        }
+        map.insert(name.to_string(), Metric::Counter(counter));
+    }
+
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         if let Some(m) = self.metrics.read().expect("registry lock").get(name) {
             return m.clone();
@@ -210,6 +226,27 @@ mod tests {
         b.add(2);
         assert_eq!(r.counter("x").get(), 3);
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn registered_counter_is_the_named_handle() {
+        let r = Registry::new();
+        r.counter("drops").add(5);
+        let own = Arc::new(Counter::new());
+        own.add(2);
+        r.register_counter("drops", Arc::clone(&own));
+        own.inc();
+        assert_eq!(r.counter("drops").get(), 3);
+        assert!(Arc::ptr_eq(&r.counter("drops"), &own));
+        assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a counter")]
+    fn registering_over_another_kind_panics() {
+        let r = Registry::new();
+        r.gauge("x");
+        r.register_counter("x", Arc::new(Counter::new()));
     }
 
     #[test]

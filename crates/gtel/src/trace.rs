@@ -6,32 +6,15 @@
 //! `Mutex<VecDeque>` ring this replaces paid a lock plus a pop/push
 //! per event). Spans carry parent/child causality from a thread-local
 //! stack ([`TraceCtx`]), so one event-loop tick decomposes into its
-//! scope / render / net / store stages.
-//!
-//! The legacy point-event view ([`TraceLog::events`]) is preserved:
-//! span End records surface as one `TraceEvent` whose value is the
-//! duration and whose `t_ns` is the end time, exactly as before —
-//! but ordering by *start* time is now possible too, because End
-//! records carry `begin_ns` (the old `SpanGuard` recorded only the
-//! end timestamp, which made Chrome-trace export impossible).
+//! scope / render / net / store stages. End records carry `begin_ns`
+//! next to the end time, so spans order by start time and export to
+//! Chrome traces without their Begin record.
 
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 pub use crate::span::{fast_now_ns, monotonic_ns};
 use crate::span::{SpanKind, SpanRecord, SpanRing, TraceCtx};
-
-/// One recorded event (legacy flat view of the span ring).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceEvent {
-    /// Nanoseconds since the process-wide trace epoch.
-    pub t_ns: u64,
-    /// Static label, e.g. `"gel.iteration"`.
-    pub label: &'static str,
-    /// Event payload: a span's duration in nanoseconds, or any
-    /// caller-chosen scalar for point events.
-    pub value: f64,
-}
 
 /// Bounded ring of span and point-event records.
 pub struct TraceLog {
@@ -154,28 +137,6 @@ impl TraceLog {
     /// poll pays for the new records, not the whole ring.
     pub fn records_since(&self, since: u64) -> Vec<SpanRecord> {
         self.ring.snapshot_since(since)
-    }
-
-    /// Copies out the retained events, oldest first (legacy view:
-    /// Begin records are hidden, End records carry the duration).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.ring
-            .snapshot()
-            .iter()
-            .filter(|r| r.kind != SpanKind::Begin)
-            .map(|r| TraceEvent {
-                t_ns: r.t_ns,
-                label: r.label,
-                value: r.value(),
-            })
-            .collect()
-    }
-
-    /// Copies out the newest `n` retained events, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<TraceEvent> {
-        let events = self.events();
-        let skip = events.len().saturating_sub(n);
-        events[skip..].to_vec()
     }
 
     /// Discards all retained records (counters are preserved).
@@ -327,23 +288,11 @@ mod tests {
         }
         assert_eq!(log.recorded(), 10);
         assert_eq!(log.dropped(), 6);
-        let events = log.events();
-        assert_eq!(events.len(), 4);
+        let records = log.records();
+        assert_eq!(records.len(), 4);
         // Oldest-first, and only the newest four survive.
-        let times: Vec<u64> = events.iter().map(|e| e.t_ns).collect();
+        let times: Vec<u64> = records.iter().map(|r| r.t_ns).collect();
         assert_eq!(times, [6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn recent_takes_the_tail() {
-        let log = TraceLog::new(8);
-        for i in 0..5u64 {
-            log.event_at(i, "e", 0.0);
-        }
-        let tail = log.recent(2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!((tail[0].t_ns, tail[1].t_ns), (3, 4));
-        assert_eq!(log.recent(100).len(), 5);
     }
 
     #[test]
@@ -353,13 +302,17 @@ mod tests {
             let _guard = log.span("work");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let events = log.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].label, "work");
+        let ends: Vec<SpanRecord> = log
+            .records()
+            .into_iter()
+            .filter(|r| r.kind == SpanKind::End)
+            .collect();
+        assert_eq!(ends.len(), 1);
+        assert_eq!(ends[0].label, "work");
         assert!(
-            events[0].value >= 1e6,
+            ends[0].duration_ns() >= 1_000_000,
             "span shorter than slept: {} ns",
-            events[0].value
+            ends[0].duration_ns()
         );
     }
 
@@ -413,7 +366,7 @@ mod tests {
         log.event_at(1, "b", 0.0);
         log.event_at(2, "c", 0.0);
         log.clear();
-        assert!(log.events().is_empty());
+        assert!(log.records().is_empty());
         assert_eq!(log.recorded(), 3);
         assert_eq!(log.dropped(), 1);
     }

@@ -41,7 +41,7 @@ proptest! {
         }
         prop_assert_eq!(log.recorded(), events);
         prop_assert_eq!(log.dropped(), events.saturating_sub(capacity as u64));
-        let retained = log.events();
+        let retained = log.records();
         prop_assert_eq!(retained.len() as u64, events.min(capacity as u64));
         // Retained events are the newest, in order.
         for (k, e) in retained.iter().enumerate() {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use gel::{Clock, SystemClock, TickInfo, TimeDelta, TimeStamp, VirtualClock};
 use gnet::{Protocol, ScopeClient, ScopeServer};
-use gscope::{Scope, SigSource, StatsExport, Tuple, TupleReader, TupleSource, TupleWriter};
+use gscope::{Scope, SigSource, Tuple, TupleReader, TupleSource, TupleWriter};
 use gstore::{catalog_segments, Store, StoreConfig, StoreReader};
 use gtel::Registry;
 
@@ -212,19 +212,11 @@ pub fn info(args: &Args) -> CmdResult {
     // Pass 2 — replay telemetry (§4.5-style self-measurement): drive
     // the recording through a scope and report what the scope saw.
     let tuples = load_tuples(path)?;
-    let registry = Registry::shared();
-    let scope = replay_scope_with(
-        tuples,
-        400,
-        TimeDelta::from_millis(period_ms),
-        Some(Arc::clone(&registry)),
-    )?;
+    let scope = replay_scope(tuples, 400, TimeDelta::from_millis(period_ms))?;
     let stats = scope.stats();
     out.push_str(&format!(
         "replay @ {period_ms}ms: {} ticks ({} missed), {} late drops\n",
-        registry.counter("scope.ticks").get(),
-        stats.missed_ticks,
-        stats.late_drops,
+        stats.ticks, stats.missed_ticks, stats.late_drops,
     ));
     for name in scope.signal_names() {
         let displayed = scope
@@ -551,10 +543,10 @@ pub fn stats(args: &Args) -> CmdResult {
 
 /// `stream <file> <addr> [--speed X] [--telemetry] [--binary|--text]`
 /// — replay a recording to a scope server in (scaled) real time,
-/// timestamps rebased to "now". With `--telemetry`, the client's own
-/// stats are appended to the stream as `net.client.*` tuples (§3.3
-/// format), so the receiving scope can display the streamer's health
-/// too. `--binary` offers the length-delimited wire encoding (the
+/// timestamps rebased to "now". With `--telemetry`, the client's
+/// registry snapshot is appended to the stream as `net.client.*`
+/// tuples (§3.3 format, the `stats --format tuples` exporter), so the
+/// receiving scope can display the streamer's health too. `--binary` offers the length-delimited wire encoding (the
 /// server may decline, in which case the stream stays text);
 /// `--text` pins the legacy line protocol. The report names whichever
 /// encoding was actually negotiated.
@@ -596,8 +588,9 @@ pub fn stream(args: &Args) -> CmdResult {
     }
     let mut extra = 0u64;
     if args.has("telemetry") {
-        for t in client.stats().to_tuples(clock.now()) {
-            client.send(&t);
+        let now_ms = clock.now().as_millis_f64();
+        for line in gtel::tuple_lines(&client.telemetry().snapshot(), now_ms) {
+            client.send(&Tuple::parse_line(&line, 0)?);
             extra += 1;
         }
     }
@@ -1307,10 +1300,10 @@ mod tests {
         .unwrap();
         assert!(report.contains("streamed 40 tuples"), "{report}");
         assert!(report.contains("over binary wire"), "{report}");
-        assert!(report.contains("+5 telemetry tuples"), "{report}");
+        assert!(report.contains("+10 telemetry tuples"), "{report}");
         let server_report = server.join().unwrap();
         assert!(server_report.contains("1 connections"), "{server_report}");
-        assert!(server_report.contains("45 tuples"), "{server_report}");
+        assert!(server_report.contains("50 tuples"), "{server_report}");
         assert!(server_report.contains("remote"), "{server_report}");
         // The streamer's own stats arrived as ordinary signals.
         assert!(

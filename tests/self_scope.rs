@@ -12,8 +12,7 @@ use std::sync::Arc;
 
 use gel::{Clock, MainLoop, TimeDelta, TimeStamp, VirtualClock};
 use gscope::{
-    attach_scope, metric_signal, IntVar, Scope, SigConfig, StatsExport, Tuple, TupleReader,
-    TupleWriter,
+    attach_scope, metric_signal, IntVar, Scope, SigConfig, Tuple, TupleReader, TupleWriter,
 };
 use gtel::{HistogramStat, Registry};
 
@@ -137,12 +136,14 @@ fn meta_scope_watches_primary_scope_live() {
 
 #[test]
 fn stats_export_round_trips_through_tuple_format() {
-    // Drive a scope for a while, export its stats as §3.3 tuples,
-    // write + re-read them through the tuple codec, and check the
-    // stream carries the same numbers.
+    // Drive a scope for a while, export the registry it shares with
+    // the loop as §3.3 tuples, write + re-read them through the tuple
+    // codec, and check the stream carries the typed snapshots' numbers.
+    let registry = Registry::shared();
     let clock = VirtualClock::new();
     let var = IntVar::new(3);
     let mut scope = Scope::new("export", 160, 80, Arc::new(clock.clone()));
+    scope.set_telemetry(Arc::clone(&registry));
     scope
         .add_signal("v", var.into(), SigConfig::default())
         .unwrap();
@@ -152,22 +153,24 @@ fn stats_export_round_trips_through_tuple_format() {
     scope.start();
     let shared = scope.into_shared();
     let mut ml = MainLoop::new(Arc::new(clock.clone()));
+    ml.set_telemetry(Arc::clone(&registry));
     attach_scope(&shared, &mut ml);
     ml.run_until(TimeStamp::from_millis(200));
 
     let now = clock.now();
-    let scope_tuples = shared.lock().stats().to_tuples(now);
-    let loop_tuples = ml.stats().to_tuples(now);
-    assert_eq!(scope_tuples.len(), 5);
-    assert_eq!(loop_tuples.len(), 7);
+    let lines = gtel::tuple_lines(&registry.snapshot(), now.as_millis_f64());
+    let exported: Vec<Tuple> = TupleReader::new(lines.join("\n").as_bytes())
+        .read_all()
+        .unwrap();
+    assert_eq!(exported.len(), lines.len());
 
     let mut w = TupleWriter::new(Vec::new());
-    for t in scope_tuples.iter().chain(loop_tuples.iter()) {
+    for t in &exported {
         w.write_tuple(t).unwrap();
     }
     let bytes = w.into_inner();
     let round: Vec<Tuple> = TupleReader::new(bytes.as_slice()).read_all().unwrap();
-    assert_eq!(round.len(), 12);
+    assert_eq!(round, exported);
 
     let find = |name: &str| -> f64 {
         round
@@ -176,9 +179,23 @@ fn stats_export_round_trips_through_tuple_format() {
             .unwrap_or_else(|| panic!("{name} missing from stream"))
             .value
     };
+    let scope_stats = shared.lock().stats();
+    let loop_stats = ml.stats();
     let ticks = find("scope.ticks");
     assert!(ticks >= 15.0, "scope ticked: {ticks}");
-    assert_eq!(find("scope.recording_failed"), 0.0);
-    assert!(find("loop.iterations") >= ticks, "loop drove the scope");
+    assert_eq!(ticks, scope_stats.ticks as f64);
+    assert_eq!(find("scope.ticks.missed"), scope_stats.missed_ticks as f64);
+    assert_eq!(
+        find("scope.buffer.late_drops"),
+        scope_stats.late_drops as f64
+    );
+    assert_eq!(find("scope.record.errors"), 0.0);
+    assert!(!scope_stats.recording_failed);
+    assert_eq!(find("gel.loop.iterations"), loop_stats.iterations as f64);
+    assert_eq!(
+        find("gel.tick.dispatched"),
+        loop_stats.timeouts_dispatched as f64
+    );
+    assert!(find("gel.loop.iterations") >= ticks, "loop drove the scope");
     assert!(round.iter().all(|t| t.time == now));
 }
